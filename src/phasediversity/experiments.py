@@ -428,6 +428,19 @@ def _failed_row(restart: int, seed: int, exc: Exception) -> dict:
             "final_rms": float("nan"), "min_rms": float("nan")}
 
 
+def _isolated_single(config: ExperimentConfig, instance: ProblemInstance,
+                     restart: int, **which):
+    """:func:`run_single`, with a failure inside the restart recorded on its
+    row as ``(None, failed row)`` instead of aborting the batch.  Config
+    errors still propagate."""
+    try:
+        return run_single(config, instance, restart, **which)
+    except ConfigError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - isolate restart failures
+        return None, _failed_row(restart, config.solver.seed + restart, exc)
+
+
 def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     """Seeded restart batch; writes per-restart trace CSVs and summary.json.
 
@@ -440,18 +453,14 @@ def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     flat = _effective_flat(config, instance)
     rows = []
     for i in range(config.restarts):
-        try:
-            trace, row = run_single(config, instance, i)
-        except ConfigError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - isolate restart failures
-            rows.append(_failed_row(i, config.solver.seed + i, exc))
+        trace, row = _isolated_single(config, instance, i)
+        rows.append(row)
+        if trace is None:
             continue
         header = dict(flat)
         header.update({"restart": i, "seed": row["seed"], "method": trace.method,
                        "stop_reason": trace.stop_reason})
         trace.to_csv(out / f"trace_restart_{i:02d}.csv", header=header)
-        rows.append(row)
     summary = {"config": _jsonable(flat), "restarts": rows,
                "aggregates": _aggregates(rows, config.success_rms)}
     _write_json(out / "summary.json", summary)
@@ -460,14 +469,18 @@ def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
 
 def run_compare_methods(config: ExperimentConfig, instance: ProblemInstance,
                         out_dir):
-    """SD/NCG/LBFGS/TN on identical restart seeds; reports FFT-call ordering."""
+    """SD/NCG/LBFGS/TN on identical restart seeds; reports FFT-call ordering.
+
+    A failure inside one restart is recorded on its row and does not abort
+    the comparison.
+    """
     instance = reconcile_noise(config, instance)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     flat = _effective_flat(config, instance)
     table = []
     for method in COMPARE_METHODS:
-        rows = [run_single(config, instance, i, method=method)[1]
+        rows = [_isolated_single(config, instance, i, method=method)[1]
                 for i in range(config.restarts)]
         entry = {"method": method}
         entry.update(_aggregates(rows, config.success_rms))
@@ -502,7 +515,12 @@ def iterations_to_rms(trace: RunTrace, threshold: float):
 
 def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
                        out_dir, rms_target: float = 1e-3):
-    """MLP/LS/LSI under the configured solver with shared restart seeds."""
+    """MLP/LS/LSI under the configured solver with shared restart seeds.
+
+    Each model's per-restart summary rows are kept under ``restarts``; a
+    failure inside one restart is recorded on its row and does not abort
+    the comparison.
+    """
     instance = reconcile_noise(config, instance)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -511,8 +529,13 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
     per_model = {}
     for model in MODELS:
         reached = []
+        rows = []
         for i in range(config.restarts):
-            trace, row = run_single(config, instance, i, model=model)
+            trace, row = _isolated_single(config, instance, i, model=model)
+            rows.append(row)
+            if trace is None:
+                reached.append(None)
+                continue
             for rec in trace.records:
                 series_lines.append(
                     f"{model},{i},{rec.iteration},{rec.rms:.17g},{rec.f_value:.17g}")
@@ -520,6 +543,7 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
         per_model[model] = {
             "iterations_to_target": reached,
             "n_reached": sum(1 for r in reached if r is not None),
+            "restarts": rows,
         }
     with open(out / "compare_models.csv", "w") as fh:
         for key, value in flat.items():

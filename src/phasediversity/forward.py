@@ -14,6 +14,7 @@ is a presentation concern left to plotting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,11 +120,6 @@ class PupilGrid:
     def xy(self):
         return self.coordinates(self.n)
 
-    @property
-    def radius_sq(self) -> np.ndarray:
-        x, y = self.xy
-        return x * x + y * y
-
 
 @dataclass
 class TransformCounter:
@@ -147,30 +143,51 @@ def unitary_dft2(f: np.ndarray, inverse: bool = False,
     return np.fft.fft2(f, norm="ortho")
 
 
+@functools.lru_cache(maxsize=16)
+def _defocus_phase(n: int, d: float) -> np.ndarray:
+    """Read-only exp(i 2 pi d (x^2+y^2)) on the n x n lattice, built once per
+    (n, d); the phase does not depend on the pupil mask."""
+    x, y = PupilGrid.coordinates(n)
+    phase = np.exp(2j * np.pi * d * (x * x + y * y))
+    phase.flags.writeable = False
+    return phase
+
+
 def defocus_diag(plane: PlaneSpec, grid: PupilGrid) -> np.ndarray:
-    """Unit-modulus quadratic phase exp(i 2 pi d (x^2+y^2)) for a defocus plane."""
+    """Unit-modulus quadratic phase exp(i 2 pi d (x^2+y^2)) for a defocus plane.
+
+    The returned array is shared between calls and read-only.
+    """
     if plane.kind != DEFOCUS:
         raise ValueError("defocus_diag is defined for defocus planes only")
-    return np.exp(2j * np.pi * plane.defocus_waves * grid.radius_sq)
+    return _defocus_phase(grid.n, plane.defocus_waves)
 
 
 def diversity_forward(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
                       counter: TransformCounter | None = None) -> np.ndarray:
-    """Apply the plane's forward operator to the pupil field ``u``."""
+    """Apply the plane's forward operator to the pupil field ``u``.
+
+    The amplitude plane is the identity and returns ``u`` itself (as a
+    complex array) without copying.
+    """
     u = np.asarray(u, dtype=complex)
     require_same_shape(u, grid.mask)
     if plane.kind == AMPLITUDE:
-        return u.copy()
+        return u
     return unitary_dft2(defocus_diag(plane, grid) * u, counter=counter)
 
 
 def diversity_adjoint(v: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
                       counter: TransformCounter | None = None) -> np.ndarray:
-    """Adjoint (= inverse, by unitarity) of :func:`diversity_forward`."""
+    """Adjoint (= inverse, by unitarity) of :func:`diversity_forward`.
+
+    The amplitude plane returns ``v`` itself (as a complex array) without
+    copying.
+    """
     v = np.asarray(v, dtype=complex)
     require_same_shape(v, grid.mask)
     if plane.kind == AMPLITUDE:
-        return v.copy()
+        return v
     return np.conj(defocus_diag(plane, grid)) * unitary_dft2(v, inverse=True, counter=counter)
 
 

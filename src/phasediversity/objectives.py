@@ -45,7 +45,6 @@ __all__ = [
     "objective_gradient",
     "objective_hvp",
     "objective_floor",
-    "gradient_weight",
     "hvp_coefficients",
 ]
 
@@ -96,17 +95,6 @@ class ObjectiveSpec:
             require_same_shape(i, self.grid.mask)
 
 
-def gradient_weight(model: str, K: np.ndarray, intensity: np.ndarray,
-                    amplitude: np.ndarray, eps: float) -> np.ndarray:
-    """Real weight w such that the per-plane gradient is F*(F(u) o w)."""
-    Ke = K + eps * eps
-    if model == "MLP":
-        return 1.0 - intensity / Ke
-    if model == "LS":
-        return 1.0 - amplitude / np.sqrt(Ke)
-    return K - intensity  # LSI
-
-
 def hvp_coefficients(model: str, Fu: np.ndarray, K: np.ndarray,
                      intensity: np.ndarray, amplitude: np.ndarray,
                      eps: float):
@@ -127,14 +115,19 @@ def hvp_coefficients(model: str, Fu: np.ndarray, K: np.ndarray,
     return a, b
 
 
-def _plane_value(model: str, K: np.ndarray, intensity: np.ndarray,
-                 amplitude: np.ndarray, eps: float) -> float:
+def _plane_terms(model: str, K: np.ndarray, intensity: np.ndarray,
+                 amplitude: np.ndarray, eps: float):
+    """Plane misfit value and the real weight w such that the plane's
+    gradient is F*(F(u) o w); K + eps^2 (and, for LS, its square root) is
+    computed once and shared by both."""
+    if model == "LSI":
+        residual = K - intensity
+        return float(0.5 * np.sum(residual ** 2)), residual
     Ke = K + eps * eps
     if model == "MLP":
-        return float(np.sum(K - intensity * np.log(Ke)))
-    if model == "LS":
-        return float(np.sum(K - 2.0 * np.sqrt(Ke) * amplitude))
-    return float(0.5 * np.sum((K - intensity) ** 2))
+        return float(np.sum(K - intensity * np.log(Ke))), 1.0 - intensity / Ke
+    root = np.sqrt(Ke)  # LS
+    return float(np.sum(K - 2.0 * root * amplitude)), 1.0 - amplitude / root
 
 
 class DataMisfit:
@@ -161,7 +154,8 @@ class DataMisfit:
                 spec.plan, spec.data.intensities, self._amplitudes):
             Fu = diversity_forward(u, plane, spec.grid, counter=self.counter)
             K = np.abs(Fu) ** 2
-            total += _plane_value(spec.model, K, intensity, amplitude, spec.epsilon)
+            total += _plane_terms(spec.model, K, intensity, amplitude,
+                                  spec.epsilon)[0]
         return total
 
     def value_and_gradient(self, u: np.ndarray):
@@ -172,8 +166,9 @@ class DataMisfit:
                 spec.plan, spec.data.intensities, self._amplitudes):
             Fu = diversity_forward(u, plane, spec.grid, counter=self.counter)
             K = np.abs(Fu) ** 2
-            total += _plane_value(spec.model, K, intensity, amplitude, spec.epsilon)
-            w = gradient_weight(spec.model, K, intensity, amplitude, spec.epsilon)
+            value, w = _plane_terms(spec.model, K, intensity, amplitude,
+                                    spec.epsilon)
+            total += value
             grad += diversity_adjoint(Fu * w, plane, spec.grid, counter=self.counter)
         return total, grad
 

@@ -321,6 +321,60 @@ class TestCompareRunners:
         for restart, vals in starts.items():
             assert len(vals) == 1
 
+    def test_compare_models_keeps_restart_rows(self, tmp_path):
+        cfg = small_config(restarts=2, **{"solver.max_iters": 12,
+                                          "noise.snr": 10,
+                                          "morozov.enabled": "true"})
+        inst = build_instance(cfg)
+        payload = run_compare_models(cfg, inst, tmp_path / "cm")
+        on_disk = json.loads((tmp_path / "cm" / "compare_models.json").read_text())
+        for model, entry in on_disk["models"].items():
+            rows = entry["restarts"]
+            assert [r["restart"] for r in rows] == [0, 1]
+            assert rows == payload["models"][model]["restarts"]
+            for row in rows:
+                trace, direct = run_single(cfg, inst, row["restart"], model=model)
+                assert row["fft_calls"] == direct["fft_calls"] > 0
+                assert row["iterations"] == direct["iterations"]
+                assert row["stop_reason"] == direct["stop_reason"]
+                assert row["morozov_index"] == direct["morozov_index"]
+                assert row["morozov_reached"] == direct["morozov_reached"]
+
+    @pytest.mark.parametrize("runner, key, which", [
+        (run_compare_methods, "methods", "method"),
+        (run_compare_models, "models", "model"),
+    ])
+    def test_compare_restart_failure_recorded_not_fatal(self, tmp_path,
+                                                        monkeypatch, runner,
+                                                        key, which):
+        import phasediversity.experiments as exp
+
+        real = exp.run_single
+        bad = {"method": "TN", "model": "MLP"}[which]
+
+        def flaky(config, instance, restart, **kw):
+            if restart == 1 and kw.get(which) == bad:
+                raise RuntimeError("synthetic blow-up")
+            return real(config, instance, restart, **kw)
+
+        monkeypatch.setattr(exp, "run_single", flaky)
+        cfg = small_config(restarts=2, **{"solver.max_iters": 8})
+        payload = runner(cfg, build_instance(cfg), tmp_path / "cmp")
+        entries = payload[key]
+        if key == "methods":
+            entries = {e["method"]: e for e in entries}
+        for name, entry in entries.items():
+            rows = entry["restarts"]
+            assert [r["restart"] for r in rows] == [0, 1]
+            for row in rows:
+                if name == bad and row["restart"] == 1:
+                    assert row["stop_reason"] == "error: synthetic blow-up"
+                    assert row["seed"] == cfg.solver.seed + 1
+                    assert np.isnan(row["final_rms"])
+                else:
+                    assert not row["stop_reason"].startswith("error:")
+                    assert row["fft_calls"] > 0
+
     def test_lbfgs_cheapest_across_seed_batches(self, tmp_path, bench32):
         # Three independent seed batches on the n=32 benchmark (reduced
         # from a ten-batch repetition study): LBFGS takes the fewest mean

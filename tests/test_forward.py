@@ -85,6 +85,30 @@ class TestDefocusDiag:
         with pytest.raises(ValueError):
             defocus_diag(PlaneSpec.amplitude(), full_grid(4))
 
+    @pytest.mark.parametrize("n, d", [(8, 3.0), (32, -3.0), (33, 0.7), (128, 2.5)])
+    def test_equals_uncached_formula_bit_for_bit(self, n, d):
+        axis = (np.arange(n) - n / 2.0) / n
+        x, y = np.meshgrid(axis, axis, indexing="xy")
+        want = np.exp(2j * np.pi * d * (x * x + y * y))
+        for _ in range(2):  # the first call may build, the second hits the cache
+            got = defocus_diag(PlaneSpec.defocus(d), full_grid(n))
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_cached_phase_is_read_only(self):
+        d = defocus_diag(PlaneSpec.defocus(3.0), full_grid(16))
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 0] = 0.0
+        assert defocus_diag(PlaneSpec.defocus(3.0), full_grid(16))[0, 0] != 0.0
+
+    def test_phase_shared_across_masks_of_equal_n(self):
+        n = 16
+        x, y = PupilGrid.coordinates(n)
+        disc = PupilGrid(n, x * x + y * y <= 0.2)
+        plane = PlaneSpec.defocus(-1.5)
+        assert defocus_diag(plane, disc) is defocus_diag(plane, full_grid(n))
+
 
 class TestDiversityOperators:
     def test_amplitude_plane_is_identity(self):
@@ -92,6 +116,9 @@ class TestDiversityOperators:
         u = random_complex(np.random.default_rng(3), (6, 6))
         assert np.array_equal(diversity_forward(u, PlaneSpec.amplitude(), grid), u)
         assert np.array_equal(diversity_adjoint(u, PlaneSpec.amplitude(), grid), u)
+        # a complex input is returned as is, without a copy
+        assert diversity_forward(u, PlaneSpec.amplitude(), grid) is u
+        assert diversity_adjoint(u, PlaneSpec.amplitude(), grid) is u
 
     def test_zero_defocus_reduces_to_dft(self):
         grid = full_grid(6)

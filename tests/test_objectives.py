@@ -127,6 +127,54 @@ class TestGradient:
         assert np.abs((u - g) - proj).max() < 1e-12 * np.abs(proj).max()
 
 
+def reference_value_and_gradient(spec, u):
+    """Misfit value and gradient from the uncached formulas: the defocus
+    phase is rebuilt on every call, and the value and the gradient weight
+    each compute K + eps^2 on their own."""
+    n, eps = spec.grid.n, spec.epsilon
+    axis = (np.arange(n) - n / 2.0) / n
+    x, y = np.meshgrid(axis, axis, indexing="xy")
+    total = 0.0
+    grad = np.zeros_like(u)
+    for plane, intensity in zip(spec.plan, spec.data.intensities):
+        amplitude = np.sqrt(intensity)
+        if plane.kind == "amplitude":
+            Fu = u
+        else:
+            phase = np.exp(2j * np.pi * plane.defocus_waves * (x * x + y * y))
+            Fu = np.fft.fft2(phase * u, norm="ortho")
+        K = np.abs(Fu) ** 2
+        if spec.model == "MLP":
+            total += float(np.sum(K - intensity * np.log(K + eps * eps)))
+            w = 1.0 - intensity / (K + eps * eps)
+        elif spec.model == "LS":
+            total += float(np.sum(K - 2.0 * np.sqrt(K + eps * eps) * amplitude))
+            w = 1.0 - amplitude / np.sqrt(K + eps * eps)
+        else:
+            total += float(0.5 * np.sum((K - intensity) ** 2))
+            w = K - intensity
+        if plane.kind == "amplitude":
+            grad += Fu * w
+        else:
+            grad += np.conj(phase) * np.fft.ifft2(Fu * w, norm="ortho")
+    return total, grad
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_value_and_gradient_bit_identical_to_uncached_reference(model):
+    n = 128
+    spec, truth = make_spec(model, n=n, eps=1e-6, defocus=(-2.7, 3.1),
+                            amplitude=True, seed=11)
+    u = truth + 0.1 * random_complex(np.random.default_rng(12), (n, n))
+    obj = DataMisfit(spec)
+    for _ in range(2):  # repeated evaluations reuse the cached phases
+        f, g = obj.value_and_gradient(u)
+        f_ref, g_ref = reference_value_and_gradient(spec, u)
+        assert f == f_ref
+        assert g.tobytes() == g_ref.tobytes()
+    assert obj.value(u) == f_ref
+
+
 class TestHvp:
     def test_zero_direction(self):
         spec, _ = make_spec("MLP")
