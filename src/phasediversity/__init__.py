@@ -6,7 +6,7 @@ actions, closed-form Hessian spectra, synthetic problem generators and
 an experiment CLI.
 """
 
-from .fields import aligned_rms, hadamard, inner
+from .fields import aligned_rms, inner
 from .forward import (
     AMPLITUDE,
     DEFOCUS,
@@ -22,7 +22,6 @@ from .forward import (
 )
 from .hessian import (
     SpectrumReport,
-    StructuredHessian,
     closed_form_spectrum,
     clustering_comparison,
     hessian_diagonals,
@@ -35,9 +34,6 @@ from .objectives import (
     MeasurementSet,
     ObjectiveSpec,
     objective_floor,
-    objective_gradient,
-    objective_hvp,
-    objective_value,
 )
 from .optimizers import (
     METHODS,
@@ -49,10 +45,6 @@ from .optimizers import (
     lbfgs_direction,
     misell_iterate,
     solve,
-    solve_lbfgs,
-    solve_ncg,
-    solve_sd,
-    solve_tn,
     wolfe_line_search,
 )
 from .problems import (

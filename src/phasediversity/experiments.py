@@ -344,14 +344,18 @@ def reconcile_noise(config: ExperimentConfig,
                            data, noise, meta)
 
 
-def _effective_flat(config: ExperimentConfig,
-                    instance: ProblemInstance) -> dict:
-    """Resolved config for embedding, with the instance's actual noise."""
+def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
+    """Runner prologue: the noise-reconciled instance, the created output
+    directory and the resolved config for embedding, which records the
+    instance's actual noise."""
+    instance = reconcile_noise(config, instance)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     flat = config.to_flat()
     if instance.noise is not None:
         flat["noise.snr"] = instance.noise["snr"]
         flat["noise.seed"] = instance.noise["seed"]
-    return flat
+    return instance, out, flat
 
 
 def run_single(config: ExperimentConfig, instance: ProblemInstance,
@@ -407,12 +411,22 @@ def run_single(config: ExperimentConfig, instance: ProblemInstance,
 
 
 def _aggregates(rows, success_rms: float) -> dict:
+    """Batch summary; the cost means cover only restarts that ran (NaN if
+    none did), so a failed restart cannot make a method look cheaper: it
+    counts in ``failed_restarts`` and as a miss in ``success_rate``."""
+    ran = [r for r in rows if not str(r["stop_reason"]).startswith("error:")]
     finals = np.array([r["final_rms"] for r in rows], dtype=float)
+    finite = finals[~np.isnan(finals)]
+
+    def mean(key):
+        return float(np.mean([r[key] for r in ran])) if ran else float("nan")
+
     return {
-        "mean_fft_calls": float(np.mean([r["fft_calls"] for r in rows])),
-        "mean_iterations": float(np.mean([r["iterations"] for r in rows])),
+        "mean_fft_calls": mean("fft_calls"),
+        "mean_iterations": mean("iterations"),
         "success_rate": float(np.mean(finals < success_rms)),
-        "best_rms": float(np.nanmin(finals)),
+        "best_rms": float(finite.min()) if finite.size else float("nan"),
+        "failed_restarts": len(rows) - len(ran),
     }
 
 
@@ -447,10 +461,7 @@ def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     A failure inside one restart is recorded on its summary row and does
     not abort the batch.
     """
-    instance = reconcile_noise(config, instance)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    flat = _effective_flat(config, instance)
+    instance, out, flat = _prepare(config, instance, out_dir)
     rows = []
     for i in range(config.restarts):
         trace, row = _isolated_single(config, instance, i)
@@ -474,10 +485,7 @@ def run_compare_methods(config: ExperimentConfig, instance: ProblemInstance,
     A failure inside one restart is recorded on its row and does not abort
     the comparison.
     """
-    instance = reconcile_noise(config, instance)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    flat = _effective_flat(config, instance)
+    instance, out, flat = _prepare(config, instance, out_dir)
     table = []
     for method in COMPARE_METHODS:
         rows = [_isolated_single(config, instance, i, method=method)[1]
@@ -521,10 +529,7 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
     failure inside one restart is recorded on its row and does not abort
     the comparison.
     """
-    instance = reconcile_noise(config, instance)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    flat = _effective_flat(config, instance)
+    instance, out, flat = _prepare(config, instance, out_dir)
     series_lines = []
     per_model = {}
     for model in MODELS:
@@ -559,9 +564,7 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
 def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
                         point: str, out_dir):
     """Closed-form vs dense spectra and the clustering report at one point."""
-    instance = reconcile_noise(config, instance)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    instance, out, flat = _prepare(config, instance, out_dir)
     if point == "truth":
         u = instance.truth
     elif point == "random":
@@ -596,8 +599,8 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
             })
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    payload = {"config": _jsonable(_effective_flat(config, instance)),
-               "point": str(point), "planes": planes}
+    payload = {"config": _jsonable(flat), "point": str(point),
+               "planes": planes}
     _write_json(out / "hessian_analysis.json", payload)
     return payload
 

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "inner",
-    "hadamard",
     "aligned_rms",
     "require_same_shape",
     "require_intensity",
@@ -43,14 +42,6 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     b = np.asarray(b)
     require_same_shape(a, b)
     return complex(np.vdot(a, b))
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product; mixed real/complex operands are allowed."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    require_same_shape(a, b)
-    return a * b
 
 
 def aligned_rms(u: np.ndarray, uhat: np.ndarray) -> float:

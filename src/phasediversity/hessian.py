@@ -29,7 +29,6 @@ from .objectives import MeasurementSet, hvp_coefficients
 __all__ = [
     "DENSE_PIXEL_LIMIT",
     "SpectrumReport",
-    "StructuredHessian",
     "hessian_diagonals",
     "structured_eigenvalues",
     "closed_form_spectrum",
@@ -186,25 +185,6 @@ def structured_hermitian_matrix(r: np.ndarray, c: np.ndarray,
     B = (Uh * c) @ Uh
     D = (U * r) @ Uh
     return np.block([[A, B], [B.conj().T, D]])
-
-
-@dataclass(frozen=True)
-class StructuredHessian:
-    """(r, c) diagonals of one plane's Hessian plus the plane they belong to."""
-
-    r: np.ndarray
-    c: np.ndarray
-    plane: PlaneSpec
-
-    def assemble(self, grid: PupilGrid) -> np.ndarray:
-        H = dense_hessian(self.r, self.c, plane_matrix(self.plane, grid))
-        herm = np.abs(H - H.conj().T).max()
-        if herm > 1e-12 * max(1.0, np.abs(H).max()):
-            raise AssertionError(f"assembled Hessian is not Hermitian ({herm:.2e})")
-        return H
-
-    def spectrum(self, model: str = "") -> SpectrumReport:
-        return structured_eigenvalues(self.r, self.c, model)
 
 
 @dataclass(frozen=True)

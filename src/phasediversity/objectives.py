@@ -41,9 +41,6 @@ __all__ = [
     "MeasurementSet",
     "ObjectiveSpec",
     "DataMisfit",
-    "objective_value",
-    "objective_gradient",
-    "objective_hvp",
     "objective_floor",
     "hvp_coefficients",
 ]
@@ -172,17 +169,10 @@ class DataMisfit:
             grad += diversity_adjoint(Fu * w, plane, spec.grid, counter=self.counter)
         return total, grad
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(u)[1]
-
-    def hvp(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Hessian action at ``u`` applied to ``h`` (real-linear in h)."""
-        return self.hessian_operator(u)(h)
-
     def hessian_operator(self, u: np.ndarray):
-        """Hessian action at a fixed ``u`` with the per-plane coefficients
-        precomputed; repeated applications (inner CG) cost two transforms
-        per plane instead of three."""
+        """Hessian action h -> H h at a fixed ``u`` (real-linear in h); the
+        per-plane coefficients cost one transform per plane to build, and
+        each application (one inner CG step) two."""
         spec = self.spec
         cached = []
         for plane, intensity, amplitude in zip(
@@ -232,14 +222,3 @@ def objective_floor(spec: ObjectiveSpec) -> float:
             total += float(np.sum(np.where(intensity >= e2, interior, boundary)))
     return total
 
-
-def objective_value(spec: ObjectiveSpec, u: np.ndarray) -> float:
-    return DataMisfit(spec).value(u)
-
-
-def objective_gradient(spec: ObjectiveSpec, u: np.ndarray) -> np.ndarray:
-    return DataMisfit(spec).gradient(u)
-
-
-def objective_hvp(spec: ObjectiveSpec, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return DataMisfit(spec).hvp(u, h)

@@ -9,19 +9,21 @@ accepted step length alpha must satisfy both Wolfe conditions
 
 with 0 < c1 < c2 < 1.  The search procedure is bracket-and-zoom with
 cubic interpolation, initial trial alpha = 1, expansion factor 2 and a
-hard cap of 50 function/gradient evaluations per search.
+hard cap of 50 function/gradient evaluations per search; a trial with a
+non-finite value or slope counts as a step too long.
 
-Methods: steepest descent, Hestenes-Stiefel nonlinear conjugate
-gradient, limited-memory BFGS (two-loop recursion on the complex
-gradient), truncated Newton with matrix-free inner CG, plus the Misell
-alternating-projection baseline.
+Methods, all run by :func:`solve` and selected by ``SolverConfig.method``:
+steepest descent, Hestenes-Stiefel nonlinear conjugate gradient,
+limited-memory BFGS (two-loop recursion on the complex gradient) and
+truncated Newton with matrix-free inner CG; :func:`misell_iterate` runs
+the Misell alternating-projection baseline.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,10 +51,6 @@ __all__ = [
     "hestenes_stiefel_beta",
     "FunctionObjective",
     "solve",
-    "solve_sd",
-    "solve_ncg",
-    "solve_lbfgs",
-    "solve_tn",
     "misell_iterate",
 ]
 
@@ -121,10 +119,6 @@ class RunTrace:
     @property
     def f_values(self) -> np.ndarray:
         return np.array([r.f_value for r in self.records])
-
-    @property
-    def grad_norms(self) -> np.ndarray:
-        return np.array([r.grad_norm for r in self.records])
 
     @property
     def rms_values(self) -> np.ndarray:
@@ -222,13 +216,18 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
 
     ``f_and_grad`` maps a point to (value, gradient).  ``g`` is the
     gradient at ``z``; ``f0`` the value at ``z`` (evaluated if omitted).
-    Raises ValueError for a non-descent direction and LineSearchError
-    when the evaluation budget is exhausted.
+    A trial step whose value or directional derivative is not finite is
+    treated as too long and shrinks the bracket (More & Thuente 1994).
+    Raises ValueError for a non-finite start point or a non-descent
+    direction and LineSearchError when the evaluation budget is exhausted.
     """
     evals = 0
     if f0 is None:
         f0, g = f_and_grad(z)
         evals += 1
+    if not (math.isfinite(f0) and np.isfinite(g).all()):
+        raise ValueError("wolfe_line_search needs a finite value and gradient "
+                         "at the start point")
     dphi0 = _redot(d, g)
     if not dphi0 < 0.0:
         raise ValueError("wolfe_line_search requires a descent direction (Re(d*g) < 0)")
@@ -239,6 +238,10 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
         f_a, g_a = f_and_grad(z_a)
         evals += 1
         return z_a, f_a, g_a, _redot(d, g_a)
+
+    def too_long(alpha, f_a, dphi_a, f_ref):
+        return (not (math.isfinite(f_a) and math.isfinite(dphi_a))
+                or f_a > f0 + c1 * alpha * dphi0 or f_a >= f_ref)
 
     def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
         nonlocal evals
@@ -252,7 +255,7 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
             if cand is None or not (lo_m <= cand <= hi_m):
                 cand = 0.5 * (lo + hi)
             z_j, f_j, g_j, dphi_j = evaluate(cand)
-            if f_j > f0 + c1 * cand * dphi0 or f_j >= f_lo:
+            if too_long(cand, f_j, dphi_j, f_lo):
                 hi, f_hi, d_hi = cand, f_j, dphi_j
             else:
                 if abs(dphi_j) <= -c2 * dphi0:
@@ -267,7 +270,7 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
     first = True
     while evals < max_evals:
         z_a, f_a, g_a, dphi_a = evaluate(alpha)
-        if f_a > f0 + c1 * alpha * dphi0 or (not first and f_a >= f_prev):
+        if too_long(alpha, f_a, dphi_a, math.inf if first else f_prev):
             return zoom(alpha_prev, f_prev, dphi_prev, alpha, f_a, dphi_a)
         if abs(dphi_a) <= -c2 * dphi0:
             return LineSearchResult(alpha, z_a, f_a, g_a, evals)
@@ -336,10 +339,9 @@ def lbfgs_direction(g: np.ndarray, memory: LbfgsMemory) -> np.ndarray:
 
 
 class FunctionObjective:
-    """Adapter turning plain callables into the solver objective interface.
-
-    ``fg(z) -> (value, gradient)``; optional ``hvp(z, h)`` enables TN.
-    """
+    """Plain callables as a :func:`solve` objective: ``fg(z) -> (value,
+    gradient)`` backs ``value_and_gradient`` and the optional
+    ``hvp(z, h)`` backs ``hessian_operator``, which TN needs."""
 
     def __init__(self, fg: Callable, hvp: Callable | None = None):
         self._fg = fg
@@ -349,24 +351,13 @@ class FunctionObjective:
     def fft_calls(self) -> int:
         return 0
 
-    def value(self, z):
-        return self._fg(z)[0]
-
     def value_and_gradient(self, z):
         return self._fg(z)
 
-    def hvp(self, z, h):
+    def hessian_operator(self, z):
         if self._hvp is None:
             raise NotImplementedError("objective provides no Hessian action")
-        return self._hvp(z, h)
-
-
-def _as_objective(objective):
-    if hasattr(objective, "value_and_gradient"):
-        return objective
-    if callable(objective):
-        return FunctionObjective(objective)
-    raise TypeError("objective must expose value_and_gradient or be callable")
+        return lambda h: self._hvp(z, h)
 
 
 def _newton_cg_direction(obj, z, g, cg_max):
@@ -376,10 +367,7 @@ def _newton_cg_direction(obj, z, g, cg_max):
     nonpositive curvature, in which case the current CG iterate (or -g
     on the first step) is returned with the curvature flag set.
     """
-    if hasattr(obj, "hessian_operator"):
-        apply_h = obj.hessian_operator(z)
-    else:
-        apply_h = lambda p: obj.hvp(z, p)  # noqa: E731 - tiny adapter
+    apply_h = obj.hessian_operator(z)
     d = np.zeros_like(g)
     r = -g
     p = r.copy()
@@ -408,21 +396,25 @@ def _newton_cg_direction(obj, z, g, cg_max):
     return d, negative
 
 
-def solve(objective, config: SolverConfig, z0: np.ndarray,
+def solve(obj, config: SolverConfig, z0: np.ndarray,
           truth: np.ndarray | None = None):
     """Minimize with the method named in ``config``; returns (z, RunTrace).
+
+    ``obj`` provides ``value_and_gradient(z) -> (value, gradient)`` and
+    an ``fft_calls`` count recorded per iteration; TN also calls
+    ``hessian_operator(z)``, which returns the Hessian action h -> H h at
+    ``z``.  :class:`~phasediversity.objectives.DataMisfit` and
+    :class:`FunctionObjective` both provide all three.
 
     ``truth`` (optional) enables the per-iteration aligned-RMS column.
     Line-search failure on a non-gradient direction falls back to the
     steepest descent direction once per iteration; a failure on the
     gradient direction terminates the run.
     """
-    obj = _as_objective(objective)
     method = config.method
-    if method == "MISELL":
-        raise ValueError("use misell_iterate for the projection baseline")
     if method not in ("SD", "NCG", "LBFGS", "TN"):
-        raise ValueError(f"unknown method {config.method!r}")
+        raise ValueError(f"solve runs SD, NCG, LBFGS or TN, not {method!r}; "
+                         "misell_iterate runs the projection baseline")
 
     z = np.array(z0, dtype=complex)
 
@@ -513,26 +505,6 @@ def solve(objective, config: SolverConfig, z0: np.ndarray,
 
     trace.stop_reason = "max_iters"
     return z, trace
-
-
-def _with_method(config: SolverConfig, method: str) -> SolverConfig:
-    return replace(config, method=method)
-
-
-def solve_sd(objective, config, z0, truth=None):
-    return solve(objective, _with_method(config, "SD"), z0, truth)
-
-
-def solve_ncg(objective, config, z0, truth=None):
-    return solve(objective, _with_method(config, "NCG"), z0, truth)
-
-
-def solve_lbfgs(objective, config, z0, truth=None):
-    return solve(objective, _with_method(config, "LBFGS"), z0, truth)
-
-
-def solve_tn(objective, config, z0, truth=None):
-    return solve(objective, _with_method(config, "TN"), z0, truth)
 
 
 def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,

@@ -184,15 +184,16 @@ def test_criterion_02_hvp_matches_finite_differences_and_is_symmetric():
         t = 1e-5
         for _ in range(20):
             h = random_complex(rng, (8, 8))
-            fd = (obj.gradient(u + t * h) - obj.gradient(u - t * h)) / (2 * t)
-            an = obj.hvp(u, h)
+            fd = (obj.value_and_gradient(u + t * h)[1]
+                  - obj.value_and_gradient(u - t * h)[1]) / (2 * t)
+            an = obj.hessian_operator(u)(h)
             worst_fd = max(worst_fd, np.linalg.norm(fd - an)
                            / max(1.0, np.linalg.norm(an)))
         for _ in range(5):
             p = random_complex(rng, (8, 8))
             q = random_complex(rng, (8, 8))
-            s1 = np.real(inner(p, obj.hvp(u, q)))
-            s2 = np.real(inner(q, obj.hvp(u, p)))
+            s1 = np.real(inner(p, obj.hessian_operator(u)(q)))
+            s2 = np.real(inner(q, obj.hessian_operator(u)(p)))
             worst_sym = max(worst_sym, abs(s1 - s2) / max(1.0, abs(s1)))
     report(2, worst_fd <= 1e-4 and worst_sym <= 1e-10,
            f"Hessian action vs gradient differences: rel err {worst_fd:.2e} "
@@ -242,8 +243,8 @@ def test_criterion_04_closed_forms_match_assembled_hessians():
                     h = random_complex(rng, (4, 4))
                     stacked = np.concatenate([h.ravel(), np.conj(h.ravel())])
                     top = (H @ stacked)[:16].reshape(4, 4)
-                    worst_hvp = max(worst_hvp,
-                                    float(np.abs(obj.hvp(u, h) - top).max()))
+                    hv = obj.hessian_operator(u)(h)
+                    worst_hvp = max(worst_hvp, float(np.abs(hv - top).max()))
     report(4, worst_eig <= 1e-9 and worst_hvp <= 1e-9,
            f"closed-form spectra vs assembled Hessians: eig dev "
            f"{worst_eig:.2e}, HVP dev {worst_hvp:.2e} (<=1e-9)")
@@ -382,7 +383,8 @@ def test_criterion_12_lipschitz_bounds():
             for _ in range(100):
                 u = random_complex(rng, (8, 8))
                 v = random_complex(rng, (8, 8))
-                quot = (np.linalg.norm(obj.gradient(u) - obj.gradient(v))
+                quot = (np.linalg.norm(obj.value_and_gradient(u)[1]
+                                       - obj.value_and_gradient(v)[1])
                         / np.linalg.norm(u - v))
                 ok = ok and quot <= bound
                 worst_margin = min(worst_margin, bound / max(quot, 1e-300))

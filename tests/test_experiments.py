@@ -375,6 +375,39 @@ class TestCompareRunners:
                     assert not row["stop_reason"].startswith("error:")
                     assert row["fft_calls"] > 0
 
+    def test_failed_restarts_left_out_of_cost_means(self, tmp_path,
+                                                     monkeypatch):
+        import warnings
+
+        import phasediversity.experiments as exp
+
+        real = exp.run_single
+
+        def flaky(config, instance, restart, **kw):
+            if kw["method"] == "SD" or (kw["method"] == "TN" and restart == 1):
+                raise RuntimeError("synthetic blow-up")
+            return real(config, instance, restart, **kw)
+
+        monkeypatch.setattr(exp, "run_single", flaky)
+        cfg = small_config(restarts=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            payload = run_compare_methods(cfg, build_instance(cfg),
+                                          tmp_path / "cmp")
+        entries = {e["method"]: e for e in payload["methods"]}
+        tn = entries["TN"]
+        ran = tn["restarts"][0]
+        assert tn["restarts"][1]["fft_calls"] == 0
+        assert tn["mean_fft_calls"] == ran["fft_calls"]
+        assert tn["mean_iterations"] == ran["iterations"]
+        assert tn["failed_restarts"] == 1
+        sd = entries["SD"]
+        assert sd["failed_restarts"] == 2
+        assert np.isnan(sd["mean_fft_calls"]) and np.isnan(sd["mean_iterations"])
+        assert np.isnan(sd["best_rms"]) and sd["success_rate"] == 0.0
+        assert payload["fft_orderings"]["ncg_lt_sd"] is False
+        assert entries["LBFGS"]["failed_restarts"] == 0
+
     def test_lbfgs_cheapest_across_seed_batches(self, tmp_path, bench32):
         # Three independent seed batches on the n=32 benchmark (reduced
         # from a ten-batch repetition study): LBFGS takes the fewest mean

@@ -7,7 +7,6 @@ from phasediversity.fields import (
     aligned_rms,
     field_from_csv,
     field_to_csv,
-    hadamard,
     inner,
     load_field,
     save_field,
@@ -29,19 +28,6 @@ class TestInner:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             inner(np.zeros(3), np.zeros(4))
-
-
-class TestHadamard:
-    def test_elementwise(self):
-        assert np.allclose(hadamard(np.array([1, 2]), np.array([3, 4])), [3, 8])
-
-    def test_identity(self):
-        a = np.array([2.0 + 1j, -3.0])
-        assert np.allclose(hadamard(a, np.ones(2)), a)
-
-    def test_imaginary_units(self):
-        assert np.allclose(hadamard(np.array([1j, 1j]), np.array([1j, 1j])),
-                           [-1, -1])
 
 
 complex_vectors = st.lists(

@@ -15,10 +15,6 @@ from phasediversity.optimizers import (
     lbfgs_direction,
     misell_iterate,
     solve,
-    solve_lbfgs,
-    solve_ncg,
-    solve_sd,
-    solve_tn,
     wolfe_line_search,
 )
 from phasediversity.problems import build_problem
@@ -116,11 +112,37 @@ class TestWolfeLineSearch:
         res = wolfe_line_search(fg, z, d, g0, f0=f0, c1=c1, c2=c2)
         assert lo - 1e-4 <= res.alpha <= hi + 1e-4
 
+    def test_non_finite_trial_shrinks_the_step(self):
+        # f = |z - 1|^2 is undefined (NaN) for Re z > 0.6: the unit step
+        # and the bisected 0.5 land there, the next bisection does not.
+        def fg(z):
+            if z[0].real > 0.6:
+                return float("nan"), np.full_like(z, np.nan)
+            r = z - 1.0
+            return float(np.real(np.vdot(r, r))), 2.0 * r
+
+        z = np.zeros(1, dtype=complex)
+        f0, g = fg(z)
+        res = wolfe_line_search(fg, z, -g, g, f0=f0)
+        assert res.alpha == 0.25
+        assert res.evaluations <= 4
+        assert np.isfinite(res.f_new)
+
+    @pytest.mark.parametrize("f0, g", [
+        (float("nan"), np.array([1.0 + 0j])),
+        (1.0, np.array([np.inf + 0j])),
+    ])
+    def test_non_finite_start_point_rejected(self, f0, g):
+        with pytest.raises(ValueError, match="finite"):
+            wolfe_line_search(lambda z: (0.0, z), np.zeros(1, complex),
+                              np.array([-1.0 + 0j]), g, f0=f0)
+
 
 class TestSteepestDescent:
     def test_quadratic_one_iteration(self):
         a = random_complex(np.random.default_rng(1), 8)
-        z, trace = solve_sd(shifted_quadratic(a), SolverConfig(), np.zeros(8, complex))
+        z, trace = solve(shifted_quadratic(a), SolverConfig(method="SD"),
+                         np.zeros(8, complex))
         assert trace.iterations == 1
         assert trace.records[-1].step_alpha == pytest.approx(0.5)
         assert np.allclose(z, a)
@@ -128,7 +150,7 @@ class TestSteepestDescent:
 
     def test_stationary_start_returns_immediately(self):
         a = random_complex(np.random.default_rng(2), 4)
-        z, trace = solve_sd(shifted_quadratic(a), SolverConfig(), a.copy())
+        z, trace = solve(shifted_quadratic(a), SolverConfig(method="SD"), a.copy())
         assert trace.iterations == 0
         assert trace.stop_reason == "grad_zero"
         assert np.array_equal(z, a)
@@ -136,8 +158,8 @@ class TestSteepestDescent:
     def test_line_search_failure_terminates(self):
         c = np.array([1.0 + 0.5j])
         fg = lambda z: (float(2 * np.real(np.vdot(c, z))), 2 * c.copy())
-        z, trace = solve_sd(FunctionObjective(fg), SolverConfig(),
-                            np.zeros(1, complex))
+        z, trace = solve(FunctionObjective(fg), SolverConfig(method="SD"),
+                         np.zeros(1, complex))
         assert trace.stop_reason == "line_search_fail"
         assert trace.iterations == 0
 
@@ -178,9 +200,9 @@ class TestNcg:
         floor = objective_floor(spec)
         z0 = initial_guess(bench32.grid.mask, 1)
         iters = {}
-        for method, fn in (("NCG", solve_ncg), ("SD", solve_sd)):
+        for method in ("NCG", "SD"):
             obj = DataMisfit(spec, TransformCounter())
-            _, trace = fn(obj, SolverConfig(), z0)
+            _, trace = solve(obj, SolverConfig(method=method), z0)
             gap = trace.f_values - floor
             hit = np.where(gap <= 1e-8 * gap[0])[0]
             iters[method] = int(hit[0]) if hit.size else len(trace)
@@ -263,14 +285,15 @@ class TestLbfgs:
                              small_instance.data, small_instance.grid)
         obj = DataMisfit(spec, TransformCounter())
         z0 = initial_guess(small_instance.grid.mask, 0)
-        _, trace = solve_lbfgs(obj, SolverConfig(max_iters=60), z0)
+        _, trace = solve(obj, SolverConfig(method="LBFGS", max_iters=60), z0)
         assert trace.records[-1].grad_norm <= trace.records[0].grad_norm
 
 
 class TestTruncatedNewton:
     def test_exact_newton_step_on_quadratic(self):
         a = random_complex(np.random.default_rng(8), 8)
-        z, trace = solve_tn(shifted_quadratic(a), SolverConfig(), np.zeros(8, complex))
+        z, trace = solve(shifted_quadratic(a), SolverConfig(method="TN"),
+                         np.zeros(8, complex))
         assert trace.iterations == 1
         assert np.allclose(z, a)
 
@@ -291,7 +314,7 @@ class TestTruncatedNewton:
         spec = ObjectiveSpec("LS", 1e-14, inst.plan, inst.data, inst.grid)
         obj = DataMisfit(spec, TransformCounter())
         z0 = initial_guess(inst.grid.mask, 0)
-        _, trace = solve_tn(obj, SolverConfig(), z0, truth=inst.truth)
+        _, trace = solve(obj, SolverConfig(method="TN"), z0, truth=inst.truth)
         assert trace.negative_curvature_fraction() > 0.5
 
 
