@@ -7,10 +7,14 @@ Configuration lives in flat namespaced key/value text::
     solver.method = LBFGS
     restarts = 10
 
-``--set key=value`` overrides use the same keys.  Every output file
-embeds the fully resolved configuration (as ``# key = value`` comment
-lines in CSVs, under a ``config`` entry in JSON) so artifacts are
-self-describing.  Restart seeds are ``solver.seed + restart_index``.
+``--set key=value`` overrides use the same keys.  The ordered key table
+``_KEYS`` (flat key -> attribute, parser) drives both parsing and
+:meth:`ExperimentConfig.to_flat`; ``problem.<name>`` parameters take the
+types of ``PROBLEM_DEFAULTS``, and an unset value is written ``none``.
+Every output file embeds the fully resolved configuration (as
+``# key = value`` comment lines in CSVs, under a ``config`` entry in
+JSON) so artifacts are self-describing.  Restart seeds are
+``solver.seed + restart_index``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import load_field
+from .fields import atomic_open, key_value_lines, load_field, parse_key_values
 from .forward import DEFOCUS, DiversityPlan, TransformCounter, diversity_forward
 from .hessian import (
     clustering_comparison,
@@ -85,14 +89,13 @@ def _parse_float_list(text: str):
     return tuple(float(t) for t in text.split(",") if t.strip())
 
 
-def _parse_optional_float(text: str):
-    t = text.strip().lower()
-    return None if t in ("none", "") else float(t)
+def _upper(text: str) -> str:
+    return text.strip().upper()
 
 
-def _parse_optional_int(text: str):
-    t = text.strip().lower()
-    return None if t in ("none", "") else int(t)
+def _optional(parse):
+    """``parse``, with ``none`` or an empty value read as None."""
+    return lambda text: None if text.strip().lower() in ("none", "") else parse(text)
 
 
 @dataclass
@@ -132,125 +135,82 @@ class ExperimentConfig:
                 f"unknown problem.{self.problem_type} parameter(s): "
                 f"{', '.join(sorted(unknown))}")
 
-    def resolved_params(self) -> dict:
-        out = dict(PROBLEM_DEFAULTS[self.problem_type])
-        out.update(self.problem_params)
-        return out
-
     def to_flat(self) -> dict:
-        s = self.solver
-        flat = {
-            "problem.type": self.problem_type,
-            "problem.n": self.n,
-            "problem.seed": self.problem_seed,
-        }
-        flat.update({f"problem.{k}": v for k, v in sorted(self.resolved_params().items())})
-        flat.update({
-            "plan.defocus": ",".join(f"{d:g}" for d in self.defocus),
-            "plan.amplitude_plane": self.amplitude_plane,
-            "objective.model": self.model,
-            "objective.epsilon": self.epsilon,
-            "solver.method": s.method,
-            "solver.max_iters": s.max_iters,
-            "solver.tol_fun": s.tol_fun,
-            "solver.tol_x": s.tol_x,
-            "solver.grad_tol": s.grad_tol,
-            "solver.c1": s.c1,
-            "solver.c2": s.c2,
-            "solver.lbfgs_memory": s.lbfgs_memory,
-            "solver.tn_cg_max": s.tn_cg_max if s.tn_cg_max is not None else "none",
-            "solver.seed": s.seed,
-            "restarts": self.restarts,
-            "noise.snr": self.snr if self.snr is not None else "none",
-            "noise.seed": self.noise_seed,
-            "morozov.enabled": self.morozov,
-            "morozov.tau": self.morozov_tau,
-            "summary.success_rms": self.success_rms,
-            "output_dir": self.output_dir if self.output_dir is not None else "none",
-        })
+        """Flat key -> value in ``_KEYS`` order, problem parameters after
+        ``problem.seed``."""
+        params = {**PROBLEM_DEFAULTS[self.problem_type], **self.problem_params}
+        flat = {}
+        for key, (attr, _) in _KEYS.items():
+            owner, _, name = attr.rpartition(".")
+            value = getattr(self.solver if owner else self, name)
+            if value is None:
+                value = "none"
+            elif isinstance(value, (tuple, list)):
+                value = ",".join(f"{d:g}" for d in value)
+            flat[key] = value
+            if key == "problem.seed":
+                flat.update({f"problem.{k}": v for k, v in sorted(params.items())})
         return flat
 
 
-_PROBLEM_PARAM_TYPES = {
-    "r_inner": float, "r_outer": float, "zernike_index": int,
-    "zernike_coeff": float, "target_rms": float, "outer_scale": float,
-    "r0": float, "rings": int, "gap_frac": float, "outer_radius": float,
-}
-
-# flat key -> (attribute, parser); solver.* handled via the nested dataclass
-_TOP_KEYS = {
+# flat key -> (attribute, parser); "solver.x" names SolverConfig.x
+_KEYS = {
     "problem.type": ("problem_type", str),
     "problem.n": ("n", int),
     "problem.seed": ("problem_seed", int),
     "plan.defocus": ("defocus", _parse_float_list),
     "plan.amplitude_plane": ("amplitude_plane", _parse_bool),
-    "objective.model": ("model", lambda t: t.strip().upper()),
+    "objective.model": ("model", _upper),
     "objective.epsilon": ("epsilon", float),
+    "solver.method": ("solver.method", _upper),
+    "solver.max_iters": ("solver.max_iters", int),
+    "solver.tol_fun": ("solver.tol_fun", float),
+    "solver.tol_x": ("solver.tol_x", float),
+    "solver.grad_tol": ("solver.grad_tol", float),
+    "solver.c1": ("solver.c1", float),
+    "solver.c2": ("solver.c2", float),
+    "solver.lbfgs_memory": ("solver.lbfgs_memory", int),
+    "solver.tn_cg_max": ("solver.tn_cg_max", _optional(int)),
+    "solver.seed": ("solver.seed", int),
     "restarts": ("restarts", int),
-    "noise.snr": ("snr", _parse_optional_float),
+    "noise.snr": ("snr", _optional(float)),
     "noise.seed": ("noise_seed", int),
     "morozov.enabled": ("morozov", _parse_bool),
     "morozov.tau": ("morozov_tau", float),
     "summary.success_rms": ("success_rms", float),
-    "output_dir": ("output_dir", str),
+    "output_dir": ("output_dir", _optional(str)),
 }
 
-_SOLVER_KEYS = {
-    "solver.method": ("method", lambda t: t.strip().upper()),
-    "solver.max_iters": ("max_iters", int),
-    "solver.tol_fun": ("tol_fun", float),
-    "solver.tol_x": ("tol_x", float),
-    "solver.grad_tol": ("grad_tol", float),
-    "solver.c1": ("c1", float),
-    "solver.c2": ("c2", float),
-    "solver.lbfgs_memory": ("lbfgs_memory", int),
-    "solver.tn_cg_max": ("tn_cg_max", _parse_optional_int),
-    "solver.seed": ("seed", int),
-}
+# problem.<name> parsers, from the types of the generator defaults
+_PARAM_TYPES = {name: type(value) for defaults in PROBLEM_DEFAULTS.values()
+                for name, value in defaults.items()}
 
 
 def parse_config_text(text: str) -> dict:
     """Parse 'key = value' lines; '#' starts a comment, blank lines ignored."""
-    mapping: dict = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
-        mapping[key.strip()] = value.strip()
-    return mapping
+    try:
+        return parse_key_values(raw.split("#", 1)[0] for raw in text.splitlines())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    top: dict = {}
-    solver: dict = {}
-    params: dict = {}
+    parts: dict = {"": {}, "solver": {}, "params": {}}  # by owner; "" = config
     for key, value in mapping.items():
+        if key in _KEYS:
+            attr, parse = _KEYS[key]
+        elif key.startswith("problem.") and key[8:] in _PARAM_TYPES:
+            attr, parse = f"params.{key[8:]}", _PARAM_TYPES[key[8:]]
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+        owner, _, name = attr.rpartition(".")
         try:
-            if key in _TOP_KEYS:
-                attr, parse = _TOP_KEYS[key]
-                top[attr] = parse(value)
-            elif key in _SOLVER_KEYS:
-                attr, parse = _SOLVER_KEYS[key]
-                solver[attr] = parse(value)
-            elif key.startswith("problem."):
-                name = key.split(".", 1)[1]
-                if name not in _PROBLEM_PARAM_TYPES:
-                    raise ConfigError(f"unknown config key {key!r}")
-                params[name] = _PROBLEM_PARAM_TYPES[name](value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
+            parts[owner][name] = parse(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     try:
-        solver_cfg = SolverConfig(**solver)
-        return ExperimentConfig(problem_params=params, solver=solver_cfg, **top)
-    except ConfigError:
-        raise
+        return ExperimentConfig(problem_params=parts["params"],
+                                solver=SolverConfig(**parts["solver"]), **parts[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -325,9 +285,8 @@ def reconcile_noise(config: ExperimentConfig,
     silent override.
     """
     if instance.noise is not None:
-        if config.snr is not None and (
-                float(instance.noise["snr"]) != config.snr
-                or int(instance.noise["seed"]) != config.noise_seed):
+        if config.snr is not None and (instance.noise["snr"] != config.snr
+                                       or instance.noise["seed"] != config.noise_seed):
             raise ConfigError(
                 f"instance carries noise snr={instance.noise['snr']} "
                 f"seed={instance.noise['seed']} but the config requests "
@@ -335,13 +294,10 @@ def reconcile_noise(config: ExperimentConfig,
         return instance
     if config.snr is None:
         return instance
-    data = add_poisson_noise(instance.data, config.snr, config.noise_seed)
-    noise = {"snr": float(config.snr), "seed": int(config.noise_seed)}
-    meta = dict(instance.meta)
-    meta["noise.snr"] = noise["snr"]
-    meta["noise.seed"] = noise["seed"]
-    return ProblemInstance(instance.grid, instance.truth, instance.plan,
-                           data, noise, meta)
+    return replace(instance,
+                   data=add_poisson_noise(instance.data, config.snr, config.noise_seed),
+                   meta={**instance.meta, "noise.snr": float(config.snr),
+                         "noise.seed": int(config.noise_seed)})
 
 
 def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
@@ -352,9 +308,7 @@ def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     flat = config.to_flat()
-    if instance.noise is not None:
-        flat["noise.snr"] = instance.noise["snr"]
-        flat["noise.seed"] = instance.noise["seed"]
+    flat.update({f"noise.{k}": v for k, v in (instance.noise or {}).items()})
     return instance, out, flat
 
 
@@ -431,7 +385,7 @@ def _aggregates(rows, success_rms: float) -> dict:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")
 
@@ -472,7 +426,7 @@ def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
         header.update({"restart": i, "seed": row["seed"], "method": trace.method,
                        "stop_reason": trace.stop_reason})
         trace.to_csv(out / f"trace_restart_{i:02d}.csv", header=header)
-    summary = {"config": _jsonable(flat), "restarts": rows,
+    summary = {"config": flat, "restarts": rows,
                "aggregates": _aggregates(rows, config.success_rms)}
     _write_json(out / "summary.json", summary)
     return summary
@@ -500,14 +454,13 @@ def run_compare_methods(config: ExperimentConfig, instance: ProblemInstance,
         "ncg_lt_sd": fft["NCG"] < fft["SD"],
         "lbfgs_lt_tn": fft["LBFGS"] < fft["TN"],
     }
-    with open(out / "compare_methods.csv", "w") as fh:
-        for key, value in flat.items():
-            fh.write(f"# {key} = {value}\n")
+    with atomic_open(out / "compare_methods.csv") as fh:
+        fh.write(key_value_lines(flat, "# "))
         fh.write("method,mean_fft_calls,mean_iterations,success_rate\n")
         for e in table:
             fh.write(f"{e['method']},{e['mean_fft_calls']:.17g},"
                      f"{e['mean_iterations']:.17g},{e['success_rate']:.17g}\n")
-    payload = {"config": _jsonable(flat), "methods": table,
+    payload = {"config": flat, "methods": table,
                "fft_orderings": orderings}
     _write_json(out / "compare_methods.json", payload)
     return payload
@@ -550,12 +503,11 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
             "n_reached": sum(1 for r in reached if r is not None),
             "restarts": rows,
         }
-    with open(out / "compare_models.csv", "w") as fh:
-        for key, value in flat.items():
-            fh.write(f"# {key} = {value}\n")
+    with atomic_open(out / "compare_models.csv") as fh:
+        fh.write(key_value_lines(flat, "# "))
         fh.write("model,restart,iter,rms,f\n")
         fh.write("\n".join(series_lines) + "\n")
-    payload = {"config": _jsonable(flat), "rms_target": rms_target,
+    payload = {"config": flat, "rms_target": rms_target,
                "models": per_model}
     _write_json(out / "compare_models.json", payload)
     return payload
@@ -599,7 +551,7 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
             })
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    payload = {"config": _jsonable(flat), "point": str(point),
+    payload = {"config": flat, "point": str(point),
                "planes": planes}
     _write_json(out / "hessian_analysis.json", payload)
     return payload
@@ -610,8 +562,3 @@ def simulate(config: ExperimentConfig, out_dir) -> ProblemInstance:
     instance = build_instance(config)
     save_instance(instance, out_dir)
     return instance
-
-
-def _jsonable(flat: dict) -> dict:
-    return {k: (v if isinstance(v, (int, float, bool, str)) else str(v))
-            for k, v in flat.items()}

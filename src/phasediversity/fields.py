@@ -4,9 +4,19 @@ Fields are plain 2-D numpy arrays (complex128 for wavefront samples,
 float64 for intensities and phases), stored row-major.  All operations
 here are elementwise or reductions, so a stacked 1-D vector and a 2-D
 grid behave identically.
+
+The module also owns the on-disk formats: one ``key = value`` codec
+(:func:`key_value_lines` / :func:`parse_key_values`) for ``config.txt``
+and every CSV's ``# key = value`` header, real-valued CSV fields through
+numpy, complex fields as ``.npy``, all written by :func:`atomic_open`.
 """
 
 from __future__ import annotations
+
+import os
+import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +25,9 @@ __all__ = [
     "aligned_rms",
     "require_same_shape",
     "require_intensity",
+    "atomic_open",
+    "key_value_lines",
+    "parse_key_values",
     "save_field",
     "load_field",
     "field_to_csv",
@@ -68,64 +81,73 @@ def aligned_rms(u: np.ndarray, uhat: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: binary container (.npy) and CSV fixtures.
-# Complex CSV cells are written as "re+imi" with an explicit imaginary sign.
+# Serialization: binary container (.npy), real-valued CSV, key = value text.
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write ``<path>.tmp`` and move it over ``path`` on success; on an error
+    the temporary file is removed and ``path`` keeps its old contents."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def key_value_lines(mapping: dict, prefix: str = "") -> str:
+    """One ``key = value`` line per entry, each preceded by ``prefix``
+    (CSV headers pass ``"# "``)."""
+    return "".join(f"{prefix}{key} = {value}\n" for key, value in mapping.items())
+
+
+def parse_key_values(lines) -> dict:
+    """``key = value`` lines as a dict of stripped, otherwise verbatim strings.
+
+    Blank and ``#`` lines are skipped; any other line lacking a key and an
+    ``=`` raises ValueError."""
+    mapping: dict = {}
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
+        mapping[key.strip()] = value.strip()
+    return mapping
+
 
 def save_field(path, arr: np.ndarray) -> None:
     """Write a field to the binary container used for fixtures (npy format)."""
-    np.save(path, np.asarray(arr))
+    with atomic_open(path, "wb") as fh:
+        np.save(fh, np.asarray(arr))
 
 
 def load_field(path) -> np.ndarray:
     return np.load(path)
 
 
-def _format_cell(v) -> str:
-    if np.iscomplexobj(np.asarray(v)):
-        v = complex(v)
-        return f"{v.real:.17g}{v.imag:+.17g}i"
-    return f"{float(v):.17g}"
-
-
-def _parse_cell(token: str):
-    token = token.strip()
-    if token.endswith("i"):
-        return complex(token[:-1] + "j")
-    return float(token)
-
-
 def field_to_csv(path, arr: np.ndarray, header: dict | None = None) -> None:
-    """Write a field as CSV, one line per grid row.
+    """Write a real-valued field as CSV, one line per grid row.
 
     Optional ``header`` entries are emitted as leading '# key = value'
     comment lines, which :func:`field_from_csv` skips.
     """
-    arr = np.atleast_2d(np.asarray(arr))
-    with open(path, "w") as fh:
-        for key, value in (header or {}).items():
-            fh.write(f"# {key} = {value}\n")
-        for row in arr:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(key_value_lines(header or {}, "# "))
+        np.savetxt(fh, np.atleast_2d(arr), fmt="%.17g", delimiter=",")
 
 
 def field_from_csv(path) -> np.ndarray:
-    """Read a field written by :func:`field_to_csv`.
-
-    Returns a complex array when any cell carries an imaginary part marker,
-    otherwise a float array.
-    """
-    rows = []
-    is_complex = False
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            is_complex = is_complex or any(c.endswith("i") for c in cells)
-            rows.append([_parse_cell(c) for c in cells])
-    if not rows:
+    """Read a float field written by :func:`field_to_csv`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty input, raised below
+        arr = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if not arr.size:
         raise ValueError(f"no data rows in {path}")
-    dtype = complex if is_complex else float
-    return np.array(rows, dtype=dtype)
+    return arr

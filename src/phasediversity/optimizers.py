@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import aligned_rms
+from .fields import aligned_rms, atomic_open, key_value_lines, parse_key_values
 from .forward import (
     DiversityPlan,
     PupilGrid,
@@ -140,9 +140,8 @@ class RunTrace:
 
     def to_csv(self, path, header: dict | None = None) -> None:
         """Write the trace; optional header entries become '# key = value' lines."""
-        with open(path, "w") as fh:
-            for key, value in (header or {}).items():
-                fh.write(f"# {key} = {value}\n")
+        with atomic_open(path) as fh:
+            fh.write(key_value_lines(header or {}, "# "))
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             for r in self.records:
                 fh.write(
@@ -153,25 +152,18 @@ class RunTrace:
     @classmethod
     def from_csv(cls, path):
         """Read a trace written by :meth:`to_csv`; returns (trace, header dict)."""
-        header: dict = {}
-        trace = cls()
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
-        body = []
-        for ln in lines:
-            if ln.startswith("#"):
-                key, _, value = ln[1:].partition("=")
-                header[key.strip()] = value.strip()
-            elif ln:
-                body.append(ln)
+        header = parse_key_values(ln[1:] for ln in lines if ln.startswith("#"))
+        body = [ln for ln in lines if ln and not ln.startswith("#")]
         if not body or body[0].split(",") != list(TRACE_COLUMNS):
             raise ValueError(f"unrecognized trace schema in {path}")
+        trace = cls(method=header.get("method", ""),
+                    stop_reason=header.get("stop_reason", ""))
         for ln in body[1:]:
             it, f, gn, al, rms, fft, nc = ln.split(",")
             trace.append(TraceRecord(int(it), float(f), float(gn), float(al),
                                      float(rms), int(fft), bool(int(nc))))
-        trace.method = header.get("method", "")
-        trace.stop_reason = header.get("stop_reason", "")
         return trace, header
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import field_from_csv, field_to_csv, load_field, save_field
+from .fields import (atomic_open, field_from_csv, field_to_csv, key_value_lines,
+                     load_field, parse_key_values, require_same_shape, save_field)
 from .forward import DiversityPlan, PupilGrid, predict_intensity
 from .objectives import MeasurementSet
 
@@ -316,8 +317,15 @@ class ProblemInstance:
     truth: np.ndarray
     plan: DiversityPlan
     data: MeasurementSet
-    noise: dict | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def noise(self) -> dict | None:
+        """``{"snr", "seed"}`` of the data's photon noise from ``meta``, or None."""
+        if "noise.snr" not in self.meta:
+            return None
+        return {"snr": float(self.meta["noise.snr"]),
+                "seed": int(self.meta["noise.seed"])}
 
 
 # Pupil radii below 0.5 oversample the diffraction images, which keeps the
@@ -369,19 +377,16 @@ def build_problem(ptype: str, n: int, seed: int = 0,
     truth = phase_to_wavefront(phase, grid.mask)
     plan = DiversityPlan.from_defocus(defocus, amplitude_plane)
     data = simulate_measurements(truth, plan, grid)
-    noise = None
-    if snr is not None:
-        data = add_poisson_noise(data, snr, noise_seed)
-        noise = {"snr": float(snr), "seed": int(noise_seed)}
 
     meta = {"problem.type": ptype, "problem.n": n, "problem.seed": seed}
     meta.update({f"problem.{k}": v for k, v in sorted(opts.items())})
     meta["plan.defocus"] = ",".join(f"{d:g}" for d in defocus)
     meta["plan.amplitude_plane"] = amplitude_plane
-    if noise is not None:
-        meta["noise.snr"] = noise["snr"]
-        meta["noise.seed"] = noise["seed"]
-    return ProblemInstance(grid, truth, plan, data, noise, meta)
+    if snr is not None:
+        data = add_poisson_noise(data, snr, noise_seed)
+        meta["noise.snr"] = float(snr)
+        meta["noise.seed"] = int(noise_seed)
+    return ProblemInstance(grid, truth, plan, data, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +396,19 @@ def build_problem(ptype: str, n: int, seed: int = 0,
 def save_instance(instance: ProblemInstance, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "config.txt", "w") as fh:
-        for key, value in instance.meta.items():
-            fh.write(f"{key} = {value}\n")
+    with atomic_open(path / "config.txt") as fh:
+        fh.write(key_value_lines(instance.meta))
     save_field(path / "truth.npy", instance.truth)
     for m, intensity in enumerate(instance.data.intensities):
         field_to_csv(path / f"plane_{m:02d}.csv", intensity, header=instance.meta)
 
 
 def load_instance(path) -> ProblemInstance:
+    """Read a :func:`save_instance` directory; ValueError on a malformed
+    ``config.txt`` line or a plane whose shape differs from the truth's."""
     path = Path(path)
-    meta: dict = {}
     with open(path / "config.txt") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+        meta = parse_key_values(fh)
     truth = load_field(path / "truth.npy")
     n = truth.shape[0]
     grid = PupilGrid(n, np.abs(truth) > 0.5)
@@ -417,9 +417,6 @@ def load_instance(path) -> ProblemInstance:
     plan = DiversityPlan.from_defocus(defocus, amplitude)
     intensities = [field_from_csv(path / f"plane_{m:02d}.csv")
                    for m in range(len(plan))]
-    noise = None
-    if "noise.snr" in meta:
-        noise = {"snr": float(meta["noise.snr"]),
-                 "seed": int(meta["noise.seed"])}
-    return ProblemInstance(grid, truth, plan, MeasurementSet(intensities),
-                           noise, meta)
+    for intensity in intensities:
+        require_same_shape(intensity, truth)
+    return ProblemInstance(grid, truth, plan, MeasurementSet(intensities), meta)

@@ -7,6 +7,7 @@ import pytest
 from phasediversity.cli import main
 from phasediversity.experiments import (
     COMPARE_METHODS,
+    _write_json,
     ConfigError,
     build_instance,
     config_from_mapping,
@@ -104,6 +105,19 @@ class TestConfigParsing:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             config_from_sources("no/such/file.txt")
+
+    def test_flat_dump_roundtrips_unset_values(self):
+        cfg = small_config()
+        flat = cfg.to_flat()
+        assert flat["output_dir"] == flat["noise.snr"] == "none"
+        back = config_from_mapping({k: str(v) for k, v in flat.items()})
+        assert back.output_dir is None
+        assert back.snr is None and back.solver.tn_cg_max is None
+        assert back.to_flat() == flat
+
+    def test_config_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="line 2"):
+            parse_config_text("problem.n = 8\nrestarts 3\n")
 
     def test_flat_dump_is_complete(self):
         cfg = small_config()
@@ -536,3 +550,95 @@ class TestCli:
         arr = field_from_csv(inst_dir / "plane_00.csv")
         assert arr.shape == (12, 12)
         assert arr.min() >= 0
+
+
+class TestArtifactFormat:
+    """Instance and run artifacts: the literal ``config.txt``, CSV header key
+    order, load-time checks and atomic rewrites."""
+
+    CONFIG = ["problem.n=8", "problem.r_inner=0", "problem.r_outer=0.45",
+              "restarts=1", "solver.max_iters=3"]
+
+    def _simulate(self, tmp_path):
+        inst = tmp_path / "inst"
+        args = [a for kv in self.CONFIG for a in ("--set", kv)]
+        assert main(["simulate", *args, "--out", str(inst)]) == 0
+        return inst, args
+
+    @staticmethod
+    def _header_keys(path):
+        with open(path) as fh:
+            return [ln[1:].partition("=")[0].strip() for ln in fh
+                    if ln.startswith("#")]
+
+    def test_instance_and_run_headers(self, tmp_path):
+        inst, args = self._simulate(tmp_path)
+        assert (inst / "config.txt").read_text() == (
+            "problem.type = zernike\n"
+            "problem.n = 8\n"
+            "problem.seed = 0\n"
+            "problem.r_inner = 0.0\n"
+            "problem.r_outer = 0.45\n"
+            "problem.zernike_coeff = 0.1\n"
+            "problem.zernike_index = 13\n"
+            "plan.defocus = -3,3\n"
+            "plan.amplitude_plane = True\n")
+        meta_keys = [ln.partition("=")[0].strip()
+                     for ln in (inst / "config.txt").read_text().splitlines()]
+        for m in range(3):
+            assert self._header_keys(inst / f"plane_{m:02d}.csv") == meta_keys
+
+        run = tmp_path / "run"
+        assert main(["solve", *args, "--instance", str(inst),
+                     "--out", str(run)]) == 0
+        config = list(json.loads((run / "summary.json").read_text())["config"])
+        assert config[:4] == ["problem.type", "problem.n", "problem.seed",
+                              "problem.r_inner"]
+        assert config[-1] == "output_dir" and len(config) == 28
+        assert self._header_keys(run / "trace_restart_00.csv") == config + [
+            "restart", "seed", "method", "stop_reason"]
+
+        cmp_dir = tmp_path / "cmp"
+        assert main(["compare-methods", *args, "--instance", str(inst),
+                     "--out", str(cmp_dir)]) == 0
+        payload = json.loads((cmp_dir / "compare_methods.json").read_text())
+        assert self._header_keys(cmp_dir / "compare_methods.csv") == list(
+            payload["config"]) == config
+
+    def test_truncated_plane_is_load_error(self, tmp_path, capsys):
+        inst, args = self._simulate(tmp_path)
+        plane = inst / "plane_01.csv"
+        lines = plane.read_text().splitlines(keepends=True)
+        header = [ln for ln in lines if ln.startswith("#")]
+        rows = [ln for ln in lines if not ln.startswith("#")]
+        assert len(rows) == 8
+        plane.write_text("".join(header + rows[:6]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            load_instance(inst)
+        for command in ("solve", "compare-methods"):
+            assert main([command, *args, "--instance", str(inst),
+                         "--out", str(tmp_path / command)]) == 2
+            assert "cannot load instance" in capsys.readouterr().err
+
+    def test_config_line_without_equals_is_load_error(self, tmp_path):
+        inst, args = self._simulate(tmp_path)
+        with open(inst / "config.txt", "a") as fh:
+            fh.write("noise.snr 20\n")
+        with pytest.raises(ValueError, match="line 10"):
+            load_instance(inst)
+        assert main(["solve", *args, "--instance", str(inst),
+                     "--out", str(tmp_path / "run")]) == 2
+
+    def test_failed_json_rewrite_keeps_old_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        _write_json(path, {"a": 1})
+        first = path.read_bytes()
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot serialize")
+
+        with pytest.raises(RuntimeError):
+            _write_json(path, {"a": 1, "b": Unprintable()})
+        assert path.read_bytes() == first
+        assert list(tmp_path.glob("*.tmp")) == []

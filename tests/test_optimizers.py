@@ -421,6 +421,29 @@ class TestSolverInfrastructure:
         assert back.records[1].negative_curvature is True
         assert np.isnan(back.records[0].step_alpha)
 
+    def test_trace_header_values_verbatim(self, tmp_path):
+        # a '#' or '=' inside a header value is data, not a comment
+        trace = RunTrace(method="LBFGS", stop_reason="tol_fun")
+        trace.append(TraceRecord(0, 1.0, 1.0, float("nan"), 0.5, 2, False))
+        header = {"output_dir": "runs/#1", "note": "a = b", "noise.snr": "none",
+                  "method": "LBFGS", "stop_reason": "tol_fun"}
+        trace.to_csv(tmp_path / "t.csv", header=header)
+        back, got = RunTrace.from_csv(tmp_path / "t.csv")
+        assert got == header
+        assert back.stop_reason == "tol_fun"
+
+    def test_failed_trace_rewrite_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        trace = RunTrace(method="SD")
+        trace.append(TraceRecord(0, 1.0, 1.0, float("nan"), 0.5, 2, False))
+        trace.to_csv(path, header={"k": "v"})
+        first = path.read_bytes()
+        trace.append(TraceRecord(1, "not a number", 1.0, 0.5, 0.4, 4, False))
+        with pytest.raises(ValueError):
+            trace.to_csv(path, header={"k": "w"})
+        assert path.read_bytes() == first
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_misell_config_dispatch_rejected(self):
         obj = shifted_quadratic(np.zeros(2, complex))
         with pytest.raises(ValueError):
