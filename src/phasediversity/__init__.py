@@ -6,7 +6,7 @@ actions, closed-form Hessian spectra, synthetic problem generators and
 an experiment CLI.
 """
 
-from .fields import aligned_rms, inner
+from .fields import aligned_rms
 from .forward import (
     AMPLITUDE,
     DEFOCUS,
@@ -49,7 +49,6 @@ from .optimizers import (
 )
 from .problems import (
     ProblemInstance,
-    aberration_stats,
     add_poisson_noise,
     annular_pupil,
     build_problem,

@@ -5,8 +5,9 @@ Configuration lives in flat namespaced key/value text::
     problem.type = zernike
     problem.n = 32
     solver.method = LBFGS
-    restarts = 10
+    restarts = 10  # seeds solver.seed .. solver.seed + 9
 
+A ``#`` at the start of a line or after whitespace starts a comment.
 ``--set key=value`` overrides use the same keys.  The ordered key table
 ``_KEYS`` (flat key -> attribute, parser) drives both parsing and
 :meth:`ExperimentConfig.to_flat`; ``problem.<name>`` parameters take the
@@ -20,13 +21,14 @@ JSON) so artifacts are self-describing.  Restart seeds are
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .fields import atomic_open, key_value_lines, load_field, parse_key_values
-from .forward import DEFOCUS, DiversityPlan, TransformCounter, diversity_forward
+from .forward import DEFOCUS, DiversityPlan, TransformCounter
 from .hessian import (
     clustering_comparison,
     closed_form_spectrum,
@@ -42,7 +44,14 @@ from .objectives import (
     ObjectiveSpec,
     objective_floor,
 )
-from .optimizers import METHODS, RunTrace, SolverConfig, misell_iterate, solve
+from .optimizers import (
+    METHODS,
+    RunTrace,
+    SolverConfig,
+    misell_iterate,
+    modulus_residual,
+    solve,
+)
 from .problems import (
     PROBLEM_DEFAULTS,
     PROBLEM_TYPES,
@@ -181,15 +190,20 @@ _KEYS = {
     "output_dir": ("output_dir", _optional(str)),
 }
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 # problem.<name> parsers, from the types of the generator defaults
 _PARAM_TYPES = {name: type(value) for defaults in PROBLEM_DEFAULTS.values()
                 for name, value in defaults.items()}
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse 'key = value' lines; '#' starts a comment, blank lines ignored."""
+    """Parse 'key = value' lines, blank lines ignored.  A '#' at the start
+    of a line or after whitespace starts a comment; any other '#' is data,
+    so ``output_dir = runs/#1`` keeps its value."""
     try:
-        return parse_key_values(raw.split("#", 1)[0] for raw in text.splitlines())
+        return parse_key_values(_COMMENT.split(raw, 1)[0]
+                                for raw in text.splitlines())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -349,15 +363,13 @@ def run_single(config: ExperimentConfig, instance: ProblemInstance,
         if projection is not None:
             # the projection trace records the nonnegative modulus residual
             plan, data = projection
-            level = sum(
-                float(np.sum((np.abs(diversity_forward(instance.truth, p,
-                                                       instance.grid)) - amp) ** 2))
-                for p, amp in zip(plan, data.amplitudes))
+            level = modulus_residual(instance.truth, plan, data, instance.grid)
             floor = 0.0
         else:
             level = DataMisfit(spec).value(instance.truth)
             floor = objective_floor(spec)
-        res = morozov_stop(trace, level, tau=config.morozov_tau, floor=floor)
+        res = morozov_stop(trace.f_values, level, tau=config.morozov_tau,
+                           floor=floor)
         row["morozov_index"] = res.index
         row["morozov_reached"] = res.reached
         row["morozov_rms"] = trace.records[res.index].rms

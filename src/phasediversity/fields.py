@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "inner",
     "aligned_rms",
     "require_same_shape",
     "require_intensity",
@@ -47,14 +46,6 @@ def require_intensity(arr: np.ndarray) -> np.ndarray:
     if arr.size and arr.min() < 0:
         raise ValueError("intensity field has negative entries")
     return arr
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product sum(conj(a) * b); conjugation on the first argument."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    require_same_shape(a, b)
-    return complex(np.vdot(a, b))
 
 
 def aligned_rms(u: np.ndarray, uhat: np.ndarray) -> float:

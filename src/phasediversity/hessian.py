@@ -18,7 +18,6 @@ Dense assembly is a verification tool, limited to grids of at most
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "closed_form_spectrum",
     "plane_matrix",
     "dense_hessian",
-    "structured_hermitian_matrix",
     "ClusteringReport",
     "clustering_comparison",
     "lipschitz_bound",
@@ -73,9 +71,6 @@ class SpectrumReport:
             "condition_ratio": self.condition_ratio,
             "clustering_width": self.clustering_width,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumReport":
@@ -167,24 +162,6 @@ def dense_hessian(r: np.ndarray, c: np.ndarray, U: np.ndarray) -> np.ndarray:
     A = (Uh * r) @ U
     B = (Uh * c) @ U.conj()
     return np.block([[A, B], [B.conj().T, A.conj()]])
-
-
-def structured_hermitian_matrix(r: np.ndarray, c: np.ndarray,
-                                U: np.ndarray) -> np.ndarray:
-    """The unitary-conjugated structured family sharing the r +/- |c| spectrum.
-
-    Blocks [[U^H diag(r) U, U^H diag(c) U^H], [U diag(conj(c)) U,
-    U diag(r) U^H]]; for any unitary U this matrix is similar to the
-    block-diagonal pair form, so its eigenvalues are {r_i +/- |c_i|}.
-    """
-    r = np.asarray(r, dtype=float).ravel()
-    c = np.asarray(c, dtype=complex).ravel()
-    _check_dense_size(r.size)
-    Uh = U.conj().T
-    A = (Uh * r) @ U
-    B = (Uh * c) @ Uh
-    D = (U * r) @ Uh
-    return np.block([[A, B], [B.conj().T, D]])
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,11 @@ __all__ = [
     "hestenes_stiefel_beta",
     "FunctionObjective",
     "solve",
+    "modulus_residual",
     "misell_iterate",
 ]
 
 METHODS = ("SD", "NCG", "LBFGS", "TN", "MISELL")
-
-TRACE_COLUMNS = ("iter", "f", "grad_norm", "alpha", "rms", "fft_calls", "neg_curv")
 
 
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
@@ -90,8 +89,9 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace row; ``TRACE_COLUMNS`` gives each field's CSV column."""
+
     iteration: int
     f_value: float
     grad_norm: float
@@ -101,6 +101,20 @@ class TraceRecord:
     negative_curvature: bool
 
 
+# The trace schema, in TraceRecord field order: (CSV column, cell format
+# spec, cell parser).  A new column is one line here plus one field above.
+TRACE_COLUMNS = (
+    ("iter", "d", int),
+    ("f", ".17g", float),
+    ("grad_norm", ".17g", float),
+    ("alpha", ".17g", float),
+    ("rms", ".17g", float),
+    ("fft_calls", "d", int),
+    ("neg_curv", "d", lambda cell: bool(int(cell))),
+)
+_TRACE_HEADER = ",".join(name for name, _, _ in TRACE_COLUMNS)
+
+
 @dataclass
 class RunTrace:
     """Per-iteration history of one solver run."""
@@ -108,7 +122,6 @@ class RunTrace:
     method: str = ""
     records: list = field(default_factory=list)
     stop_reason: str = ""
-    zoutendijk_sum: float = 0.0
 
     def append(self, rec: TraceRecord) -> None:
         self.records.append(rec)
@@ -132,38 +145,36 @@ class RunTrace:
     def iterations(self) -> int:
         return self.records[-1].iteration if self.records else 0
 
-    def negative_curvature_fraction(self) -> float:
-        steps = [r for r in self.records if r.iteration > 0]
-        if not steps:
-            return 0.0
-        return sum(r.negative_curvature for r in steps) / len(steps)
-
     def to_csv(self, path, header: dict | None = None) -> None:
         """Write the trace; optional header entries become '# key = value' lines."""
         with atomic_open(path) as fh:
             fh.write(key_value_lines(header or {}, "# "))
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
+            fh.write(_TRACE_HEADER + "\n")
             for r in self.records:
-                fh.write(
-                    f"{r.iteration},{r.f_value:.17g},{r.grad_norm:.17g},"
-                    f"{r.step_alpha:.17g},{r.rms:.17g},{r.fft_calls},"
-                    f"{int(r.negative_curvature)}\n")
+                fh.write(",".join(format(value, spec) for value, (_, spec, _)
+                                  in zip(r, TRACE_COLUMNS)) + "\n")
 
     @classmethod
     def from_csv(cls, path):
-        """Read a trace written by :meth:`to_csv`; returns (trace, header dict)."""
+        """Read a trace written by :meth:`to_csv`; returns (trace, header dict).
+
+        ValueError on an unknown column header or a row whose cell count
+        differs from the schema's."""
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
         header = parse_key_values(ln[1:] for ln in lines if ln.startswith("#"))
         body = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not body or body[0].split(",") != list(TRACE_COLUMNS):
+        if not body or body[0] != _TRACE_HEADER:
             raise ValueError(f"unrecognized trace schema in {path}")
         trace = cls(method=header.get("method", ""),
                     stop_reason=header.get("stop_reason", ""))
         for ln in body[1:]:
-            it, f, gn, al, rms, fft, nc = ln.split(",")
-            trace.append(TraceRecord(int(it), float(f), float(gn), float(al),
-                                     float(rms), int(fft), bool(int(nc))))
+            cells = ln.split(",")
+            if len(cells) != len(TRACE_COLUMNS):
+                raise ValueError(f"trace row {ln!r} in {path} has {len(cells)} "
+                                 f"cells, expected {len(TRACE_COLUMNS)}")
+            trace.append(TraceRecord(*(parse(cell) for cell, (_, _, parse)
+                                       in zip(cells, TRACE_COLUMNS))))
         return trace, header
 
 
@@ -388,6 +399,11 @@ def _newton_cg_direction(obj, z, g, cg_max):
     return d, negative
 
 
+def _rms_or_nan(truth, point) -> float:
+    """Aligned RMS of ``point`` against ``truth``; NaN without a truth."""
+    return aligned_rms(truth, point) if truth is not None else float("nan")
+
+
 def solve(obj, config: SolverConfig, z0: np.ndarray,
           truth: np.ndarray | None = None):
     """Minimize with the method named in ``config``; returns (z, RunTrace).
@@ -409,14 +425,10 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
                          "misell_iterate runs the projection baseline")
 
     z = np.array(z0, dtype=complex)
-
-    def rms_of(point):
-        return aligned_rms(truth, point) if truth is not None else float("nan")
-
     trace = RunTrace(method=method)
     f, g = obj.value_and_gradient(z)
     gnorm = float(np.linalg.norm(g.ravel()))
-    trace.append(TraceRecord(0, f, gnorm, float("nan"), rms_of(z),
+    trace.append(TraceRecord(0, f, gnorm, float("nan"), _rms_or_nan(truth, z),
                              obj.fft_calls, False))
     if gnorm <= config.grad_tol:
         trace.stop_reason = "grad_zero"
@@ -470,9 +482,6 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
                 trace.stop_reason = "line_search_fail"
                 return z, trace
 
-        dg = _redot(d, g)
-        trace.zoutendijk_sum += dg * dg / float(np.real(np.vdot(d, d)))
-
         s = ls.z_new - z
         if memory is not None:
             memory.push(s, ls.g_new - g)
@@ -481,7 +490,7 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
         f_old, z_old = f, z
         z, f, g = ls.z_new, ls.f_new, ls.g_new
         gnorm = float(np.linalg.norm(g.ravel()))
-        trace.append(TraceRecord(k, f, gnorm, ls.alpha, rms_of(z),
+        trace.append(TraceRecord(k, f, gnorm, ls.alpha, _rms_or_nan(truth, z),
                                  obj.fft_calls, negative_curvature))
 
         if abs(f_old - f) <= config.tol_fun * max(1.0, abs(f_old)):
@@ -497,6 +506,17 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
 
     trace.stop_reason = "max_iters"
     return z, trace
+
+
+def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
+                     grid: PupilGrid,
+                     counter: TransformCounter | None = None) -> float:
+    """sum_m || |F_m u| - M_m ||^2 over the planes of ``plan``."""
+    total = 0.0
+    for plane, amp in zip(plan, data.amplitudes):
+        w = diversity_forward(u, plane, grid, counter=counter)
+        total += float(np.sum((np.abs(w) - amp) ** 2))
+    return total
 
 
 def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
@@ -516,20 +536,10 @@ def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
     counter = counter if counter is not None else TransformCounter()
     u = np.array(u0, dtype=complex)
     amplitudes = data.amplitudes
-
-    def rms_of(point):
-        return aligned_rms(truth, point) if truth is not None else float("nan")
-
-    def residual(point):
-        total = 0.0
-        for plane, amp in zip(plan, amplitudes):
-            w = diversity_forward(point, plane, grid, counter=counter)
-            total += float(np.sum((np.abs(w) - amp) ** 2))
-        return total
-
     trace = RunTrace(method="MISELL")
-    trace.append(TraceRecord(0, residual(u), float("nan"), float("nan"),
-                             rms_of(u), counter.count, False))
+    trace.append(TraceRecord(0, modulus_residual(u, plan, data, grid, counter),
+                             float("nan"), float("nan"), _rms_or_nan(truth, u),
+                             counter.count, False))
     for k in range(1, iters + 1):
         sweep_residual = 0.0
         for plane, amp in zip(plan, amplitudes):
@@ -541,6 +551,6 @@ def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
                                                where=safe), v)
             u = diversity_adjoint(v, plane, grid, counter=counter)
         trace.append(TraceRecord(k, sweep_residual, float("nan"), float("nan"),
-                                 rms_of(u), counter.count, False))
+                                 _rms_or_nan(truth, u), counter.count, False))
     trace.stop_reason = "max_iters"
     return u, trace

@@ -31,8 +31,6 @@ __all__ = [
     "add_poisson_noise",
     "MorozovResult",
     "morozov_stop",
-    "AberrationStats",
-    "aberration_stats",
     "phase_to_wavefront",
     "ProblemInstance",
     "PROBLEM_DEFAULTS",
@@ -262,9 +260,10 @@ class MorozovResult:
     reached: bool
 
 
-def morozov_stop(trace, noise_misfit_level: float, tau: float = 1.05,
+def morozov_stop(f_values, noise_misfit_level: float, tau: float = 1.05,
                  floor: float = 0.0) -> MorozovResult:
-    """First iteration whose misfit drops to the discrepancy threshold.
+    """First index of ``f_values`` (a run's per-iteration misfits) at or
+    below the discrepancy threshold.
 
     The threshold is floor + tau*(level - floor); with the default
     floor = 0 this is the plain tau*level rule.  Objectives that are
@@ -274,33 +273,15 @@ def morozov_stop(trace, noise_misfit_level: float, tau: float = 1.05,
     threshold is never reached the last iteration is returned with
     ``reached = False``.
     """
-    values = trace.f_values if hasattr(trace, "f_values") else np.asarray(trace, dtype=float)
-    if len(values) == 0:
+    if len(f_values) == 0:
         raise ValueError("morozov_stop needs a nonempty trace")
     if noise_misfit_level < floor:
         raise ValueError("noise misfit level lies below the objective floor")
     threshold = floor + tau * (noise_misfit_level - floor)
-    for i, v in enumerate(values):
+    for i, v in enumerate(f_values):
         if v <= threshold:
             return MorozovResult(i, True)
-    return MorozovResult(len(values) - 1, False)
-
-
-@dataclass(frozen=True)
-class AberrationStats:
-    pv: float
-    rms: float
-
-
-def aberration_stats(phase: np.ndarray, mask: np.ndarray) -> AberrationStats:
-    """Peak-to-valley and mean-removed RMS of a phase over the mask (waves)."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("empty mask")
-    vals = np.asarray(phase, dtype=float)[mask]
-    pv = float(vals.max() - vals.min())
-    rms = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
-    return AberrationStats(pv, rms)
+    return MorozovResult(len(f_values) - 1, False)
 
 
 def phase_to_wavefront(phase_waves: np.ndarray, mask: np.ndarray) -> np.ndarray:

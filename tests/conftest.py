@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from phasediversity.experiments import initial_guess
@@ -6,6 +7,18 @@ from phasediversity.problems import build_problem
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def structured_hermitian_matrix(r, c, U):
+    """Oracle for the r +/- |c| spectrum rule: the unitary-conjugated
+    structured family [[U^H diag(r) U, U^H diag(c) U^H],
+    [U diag(conj(c)) U, U diag(r) U^H]], similar for any unitary U to the
+    block-diagonal pair form, so its eigenvalues are {r_i +/- |c_i|}."""
+    Uh = U.conj().T
+    A = (Uh * r) @ U
+    B = (Uh * c) @ Uh
+    D = (U * r) @ Uh
+    return np.block([[A, B], [B.conj().T, D]])
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ import pytest
 
 import phasediversity.optimizers as opt
 from phasediversity.experiments import _projection_planes, initial_guess
-from phasediversity.fields import inner
 from phasediversity.forward import (
     DiversityPlan,
     TransformCounter,
@@ -27,7 +26,6 @@ from phasediversity.hessian import (
     lipschitz_bound,
     plane_matrix,
     structured_eigenvalues,
-    structured_hermitian_matrix,
 )
 from phasediversity.objectives import (
     MODELS,
@@ -38,7 +36,7 @@ from phasediversity.objectives import (
 from phasediversity.optimizers import SolverConfig, misell_iterate, solve
 from phasediversity.problems import add_poisson_noise, build_problem
 
-from conftest import random_complex
+from conftest import random_complex, structured_hermitian_matrix
 
 
 def report(num, ok, detail):
@@ -166,7 +164,7 @@ def test_criterion_01_gradient_matches_finite_differences():
         for _ in range(20):
             h = random_complex(rng, (8, 8))
             fd = (obj.value(u + t * h) - obj.value(u - t * h)) / (2 * t)
-            an = 2.0 * np.real(inner(h, g))
+            an = 2.0 * np.real(np.vdot(h, g))
             worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     elapsed = time.perf_counter() - t0
     report(1, worst <= 1e-5 and elapsed < 10.0,
@@ -192,8 +190,8 @@ def test_criterion_02_hvp_matches_finite_differences_and_is_symmetric():
         for _ in range(5):
             p = random_complex(rng, (8, 8))
             q = random_complex(rng, (8, 8))
-            s1 = np.real(inner(p, obj.hessian_operator(u)(q)))
-            s2 = np.real(inner(q, obj.hessian_operator(u)(p)))
+            s1 = np.real(np.vdot(p, obj.hessian_operator(u)(q)))
+            s2 = np.real(np.vdot(q, obj.hessian_operator(u)(p)))
             worst_sym = max(worst_sym, abs(s1 - s2) / max(1.0, abs(s1)))
     report(2, worst_fd <= 1e-4 and worst_sym <= 1e-10,
            f"Hessian action vs gradient differences: rel err {worst_fd:.2e} "

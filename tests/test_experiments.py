@@ -102,6 +102,19 @@ class TestConfigParsing:
         assert cfg.n == 8
         assert cfg.restarts == 3
 
+    def test_hash_inside_a_value_is_data(self, tmp_path):
+        # only a '#' at the start of a line or after whitespace is a comment
+        p = tmp_path / "cfg.txt"
+        p.write_text("# whole-line comment\n"
+                     "  # indented whole-line comment\n"
+                     "output_dir = runs/#1\n"
+                     "restarts = 3  # three\n"
+                     "problem.n = 8\t# tab before the comment\n")
+        cfg = config_from_sources(p)
+        assert cfg.output_dir == "runs/#1"
+        assert cfg.restarts == 3
+        assert cfg.n == 8
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             config_from_sources("no/such/file.txt")

@@ -8,7 +8,6 @@ from phasediversity.fields import (
     atomic_open,
     field_from_csv,
     field_to_csv,
-    inner,
     key_value_lines,
     load_field,
     parse_key_values,
@@ -16,42 +15,6 @@ from phasediversity.fields import (
 )
 
 from conftest import random_complex
-
-
-class TestInner:
-    def test_unit_pair(self):
-        assert inner(np.array([1, 1j]), np.array([1, 1j])) == pytest.approx(2)
-
-    def test_orthogonal(self):
-        assert inner(np.array([1, 0]), np.array([0, 1])) == 0
-
-    def test_conjugates_first_argument(self):
-        assert inner(np.array([1j, 0]), np.array([1, 0])) == pytest.approx(-1j)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(np.zeros(3), np.zeros(4))
-
-
-complex_vectors = st.lists(
-    st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=6
-).map(lambda ps: np.array([complex(a, b) for a, b in ps]))
-
-
-@settings(deadline=None, max_examples=60)
-@given(complex_vectors, complex_vectors)
-def test_inner_conjugate_symmetry(a, b):
-    if a.shape != b.shape:
-        return
-    assert inner(a, b) == pytest.approx(np.conj(inner(b, a)))
-
-
-@settings(deadline=None, max_examples=60)
-@given(complex_vectors)
-def test_inner_self_nonnegative(a):
-    v = inner(a, a)
-    assert abs(v.imag) < 1e-12
-    assert v.real >= 0
 
 
 class TestAlignedRms:
@@ -118,7 +81,7 @@ class TestSerialization:
         back = field_from_csv(tmp_path / "g.csv")
         assert back.dtype == float
         assert np.array_equal(back, arr)
-        assert open(tmp_path / "g.csv").readline().startswith("# foo = bar")
+        assert (tmp_path / "g.csv").read_text().startswith("# foo = bar")
 
     def test_csv_bytes_and_values(self, tmp_path):
         arr = np.array([[0.1, -0.0, 1e300], [np.nan, 2.0, 5e-324]])

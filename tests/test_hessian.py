@@ -18,7 +18,6 @@ from phasediversity.hessian import (
     lipschitz_bound,
     plane_matrix,
     structured_eigenvalues,
-    structured_hermitian_matrix,
 )
 from phasediversity.objectives import (
     MODELS,
@@ -27,7 +26,7 @@ from phasediversity.objectives import (
     ObjectiveSpec,
 )
 
-from conftest import random_complex
+from conftest import random_complex, structured_hermitian_matrix
 
 
 def full_grid(n):
@@ -246,7 +245,7 @@ class TestLipschitzBound:
 class TestSpectrumReport:
     def test_json_roundtrip(self):
         report = SpectrumReport.from_eigenvalues(np.array([3.0, -1.0, 2.0]), "LS")
-        back = SpectrumReport.from_dict(json.loads(report.to_json()))
+        back = SpectrumReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert back.model == "LS"
         assert np.allclose(back.eigenvalues, [-1.0, 2.0, 3.0])
         assert back.lambda_min == -1.0

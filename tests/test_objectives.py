@@ -2,7 +2,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from phasediversity.fields import inner
 from phasediversity.forward import (
     DiversityPlan,
     PupilGrid,
@@ -106,7 +105,7 @@ class TestGradient:
         for _ in range(5):
             h = random_complex(rng, (8, 8))
             fd = (obj.value(u + t * h) - obj.value(u - t * h)) / (2 * t)
-            an = 2.0 * np.real(inner(h, g))
+            an = 2.0 * np.real(np.vdot(h, g))
             assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
 
     def test_gradient_step_is_perturbed_modulus_projection(self):
@@ -215,8 +214,8 @@ class TestHvp:
         for _ in range(5):
             p = random_complex(rng, (8, 8))
             q = random_complex(rng, (8, 8))
-            s1 = np.real(inner(p, obj.hessian_operator(u)(q)))
-            s2 = np.real(inner(q, obj.hessian_operator(u)(p)))
+            s1 = np.real(np.vdot(p, obj.hessian_operator(u)(q)))
+            s2 = np.real(np.vdot(q, obj.hessian_operator(u)(p)))
             assert abs(s1 - s2) <= 1e-10 * max(1.0, abs(s1))
 
     @pytest.mark.parametrize("model", MODELS)
@@ -231,8 +230,8 @@ class TestHvp:
         scales = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         rem = []
         for t in scales:
-            model2 = (f0 + 2 * np.real(inner(t * h, g))
-                      + np.real(inner(t * h, t * Hh)))
+            model2 = (f0 + 2 * np.real(np.vdot(t * h, g))
+                      + np.real(np.vdot(t * h, t * Hh)))
             rem.append(abs(obj.value(u + t * h) - model2))
         rem = np.array(rem)
         slope = np.polyfit(np.log(scales), np.log(rem + 1e-300), 1)[0]

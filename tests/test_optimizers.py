@@ -315,7 +315,8 @@ class TestTruncatedNewton:
         obj = DataMisfit(spec, TransformCounter())
         z0 = initial_guess(inst.grid.mask, 0)
         _, trace = solve(obj, SolverConfig(method="TN"), z0, truth=inst.truth)
-        assert trace.negative_curvature_fraction() > 0.5
+        steps = trace.records[1:]
+        assert sum(r.negative_curvature for r in steps) / len(steps) > 0.5
 
 
 class TestMisell:
@@ -380,7 +381,7 @@ class TestSolverInfrastructure:
                      for r in trace.records]))
             assert np.array_equal(runs[0], runs[1], equal_nan=True)
 
-    def test_monotone_descent_and_zoutendijk(self, small_instance):
+    def test_monotone_descent(self, small_instance):
         from phasediversity.experiments import initial_guess
 
         spec = ObjectiveSpec("LS", 1e-14, small_instance.plan,
@@ -391,8 +392,6 @@ class TestSolverInfrastructure:
             _, trace = solve(obj, SolverConfig(method=method, max_iters=40), z0)
             f = trace.f_values
             assert np.all(np.diff(f) <= 1e-12 * np.maximum(1.0, np.abs(f[:-1])))
-            assert np.isfinite(trace.zoutendijk_sum)
-            assert trace.zoutendijk_sum >= 0.0
 
     def test_fft_calls_nondecreasing(self, small_instance):
         from phasediversity.experiments import initial_guess
@@ -420,6 +419,36 @@ class TestSolverInfrastructure:
         assert back.records[1].f_value == 0.5
         assert back.records[1].negative_curvature is True
         assert np.isnan(back.records[0].step_alpha)
+
+    def test_trace_csv_bytes_locked(self, tmp_path):
+        # exact cells for signed zero, NaN, the float extremes, both flag
+        # values and the integer columns, and an exact read back
+        def cells(r):
+            return repr((r.iteration, r.f_value, r.grad_norm, r.step_alpha,
+                         r.rms, r.fft_calls, r.negative_curvature))
+
+        trace = RunTrace(method="TN", stop_reason="tol_fun")
+        trace.append(TraceRecord(0, -0.0, 1e300, float("nan"), 5e-324, 0, False))
+        trace.append(TraceRecord(12, 0.1, 5e-324, -0.0, 1e300, 123456789, True))
+        path = tmp_path / "t.csv"
+        trace.to_csv(path, header={"method": "TN", "stop_reason": "tol_fun"})
+        header = (b"# method = TN\n# stop_reason = tol_fun\n"
+                  b"iter,f,grad_norm,alpha,rms,fft_calls,neg_curv\n")
+        assert path.read_bytes() == header + (
+            b"0,-0,1.0000000000000001e+300,nan,4.9406564584124654e-324,0,0\n"
+            b"12,0.10000000000000001,4.9406564584124654e-324,-0,"
+            b"1.0000000000000001e+300,123456789,1\n")
+        back, _ = RunTrace.from_csv(path)
+        assert [cells(r) for r in back.records] == [cells(r) for r in trace.records]
+        for row in (b"1,2,3,4,5,6\n", b"1,2,3,4,5,6,0,7\n"):
+            path.write_bytes(header + row)
+            with pytest.raises(ValueError):
+                RunTrace.from_csv(path)
+
+    def test_trace_schema_has_one_column_per_record_field(self):
+        from phasediversity.optimizers import TRACE_COLUMNS
+
+        assert len(TRACE_COLUMNS) == len(TraceRecord._fields)
 
     def test_trace_header_values_verbatim(self, tmp_path):
         # a '#' or '=' inside a header value is data, not a comment
