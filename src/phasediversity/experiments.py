@@ -127,6 +127,8 @@ class ExperimentConfig:
     morozov_tau: float = 1.05
     success_rms: float = 1e-5
     output_dir: str | None = None
+    # flat keys the sources set; only these are checked against an instance
+    given: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.problem_type not in PROBLEM_TYPES:
@@ -224,7 +226,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     try:
         return ExperimentConfig(problem_params=parts["params"],
-                                solver=SolverConfig(**parts["solver"]), **parts[""])
+                                solver=SolverConfig(**parts["solver"]),
+                                given=frozenset(mapping), **parts[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -314,14 +317,40 @@ def reconcile_noise(config: ExperimentConfig,
                          "noise.seed": int(config.noise_seed)})
 
 
+_INSTANCE_KEYS = ("problem.", "plan.")
+
+
+def _describe_instance(config: ExperimentConfig,
+                       instance: ProblemInstance) -> ExperimentConfig:
+    """``config`` with its ``problem.*`` and ``plan.*`` values read from the
+    instance's meta, so artifacts describe the instance they ran on.
+
+    A key the config sets itself must agree with the instance; a
+    contradiction is an error, not a silent override.
+    """
+    described = config_from_mapping(
+        {k: str(v) for k, v in instance.meta.items()
+         if k.startswith(_INSTANCE_KEYS)})
+    has, wants = described.to_flat(), config.to_flat()
+    for key in sorted(config.given):
+        if key.startswith(_INSTANCE_KEYS) and has.get(key) != wants[key]:
+            raise ConfigError(f"instance has {key} = {has.get(key, 'none')} "
+                              f"but the config sets {wants[key]}")
+    return replace(config, problem_type=described.problem_type, n=described.n,
+                   problem_seed=described.problem_seed,
+                   problem_params=described.problem_params,
+                   defocus=described.defocus,
+                   amplitude_plane=described.amplitude_plane)
+
+
 def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     """Runner prologue: the noise-reconciled instance, the created output
     directory and the resolved config for embedding, which records the
-    instance's actual noise."""
+    instance's own problem, plan and noise keys."""
+    flat = _describe_instance(config, instance).to_flat()
     instance = reconcile_noise(config, instance)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    flat = config.to_flat()
     flat.update({f"noise.{k}": v for k, v in (instance.noise or {}).items()})
     return instance, out, flat
 

@@ -132,25 +132,34 @@ class TransformCounter:
 
 
 def unitary_dft2(f: np.ndarray, inverse: bool = False,
-                 counter: TransformCounter | None = None) -> np.ndarray:
+                 counter: TransformCounter | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Unitary 2-D DFT (norm 1/sqrt(rows*cols) each way), so forward o inverse
-    is the identity and Parseval holds exactly."""
+    is the identity and Parseval holds exactly.
+
+    With ``out`` (a complex array of ``f``'s shape, which may be ``f``
+    itself) the result is written there and ``out`` is returned.
+    """
     f = np.asarray(f, dtype=complex)
     if counter is not None:
         counter.add()
     if inverse:
-        return np.fft.ifft2(f, norm="ortho")
-    return np.fft.fft2(f, norm="ortho")
+        # ifftn, not ifft2: numpy's ifft2 drops ``out`` and allocates
+        return np.fft.ifftn(f, axes=(-2, -1), norm="ortho", out=out)
+    return np.fft.fft2(f, norm="ortho", out=out)
 
 
 @functools.lru_cache(maxsize=16)
-def _defocus_phase(n: int, d: float) -> np.ndarray:
-    """Read-only exp(i 2 pi d (x^2+y^2)) on the n x n lattice, built once per
-    (n, d); the phase does not depend on the pupil mask."""
+def _defocus_phase(n: int, d: float):
+    """Read-only exp(i 2 pi d (x^2+y^2)) on the n x n lattice and its
+    conjugate, built once per (n, d); the phase does not depend on the
+    pupil mask."""
     x, y = PupilGrid.coordinates(n)
     phase = np.exp(2j * np.pi * d * (x * x + y * y))
+    conj = np.conj(phase)
     phase.flags.writeable = False
-    return phase
+    conj.flags.writeable = False
+    return phase, conj
 
 
 def defocus_diag(plane: PlaneSpec, grid: PupilGrid) -> np.ndarray:
@@ -160,35 +169,42 @@ def defocus_diag(plane: PlaneSpec, grid: PupilGrid) -> np.ndarray:
     """
     if plane.kind != DEFOCUS:
         raise ValueError("defocus_diag is defined for defocus planes only")
-    return _defocus_phase(grid.n, plane.defocus_waves)
+    return _defocus_phase(grid.n, plane.defocus_waves)[0]
 
 
 def diversity_forward(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
-                      counter: TransformCounter | None = None) -> np.ndarray:
+                      counter: TransformCounter | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Apply the plane's forward operator to the pupil field ``u``.
 
     The amplitude plane is the identity and returns ``u`` itself (as a
-    complex array) without copying.
+    complex array) without copying, ``out`` or not; a defocus plane writes
+    into ``out`` when given.
     """
     u = np.asarray(u, dtype=complex)
     require_same_shape(u, grid.mask)
     if plane.kind == AMPLITUDE:
         return u
-    return unitary_dft2(defocus_diag(plane, grid) * u, counter=counter)
+    w = np.multiply(defocus_diag(plane, grid), u, out=out)
+    return unitary_dft2(w, counter=counter, out=w)
 
 
 def diversity_adjoint(v: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
-                      counter: TransformCounter | None = None) -> np.ndarray:
+                      counter: TransformCounter | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint (= inverse, by unitarity) of :func:`diversity_forward`.
 
     The amplitude plane returns ``v`` itself (as a complex array) without
-    copying.
+    copying, ``out`` or not; a defocus plane writes into ``out`` when
+    given, which may be ``v`` itself.
     """
     v = np.asarray(v, dtype=complex)
     require_same_shape(v, grid.mask)
     if plane.kind == AMPLITUDE:
         return v
-    return np.conj(defocus_diag(plane, grid)) * unitary_dft2(v, inverse=True, counter=counter)
+    w = unitary_dft2(v, inverse=True, counter=counter, out=out)
+    conj = _defocus_phase(grid.n, plane.defocus_waves)[1]
+    return np.multiply(conj, w, out=w)
 
 
 def predict_intensity(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,

@@ -112,62 +112,74 @@ def hvp_coefficients(model: str, Fu: np.ndarray, K: np.ndarray,
     return a, b
 
 
-def _plane_terms(model: str, K: np.ndarray, intensity: np.ndarray,
-                 amplitude: np.ndarray, eps: float):
+def _plane_terms(model: str, Fu: np.ndarray, intensity: np.ndarray,
+                 amplitude: np.ndarray, eps: float, work):
     """Plane misfit value and the real weight w such that the plane's
-    gradient is F*(F(u) o w); K + eps^2 (and, for LS, its square root) is
+    gradient is F*(F(u) o w), computed in the three real arrays ``work``
+    (w is one of them); K + eps^2 (and, for LS, its square root) is
     computed once and shared by both."""
+    K, Ke, t = work
+    np.square(np.abs(Fu, out=K), out=K)
     if model == "LSI":
-        residual = K - intensity
-        return float(0.5 * np.sum(residual ** 2)), residual
-    Ke = K + eps * eps
+        residual = np.subtract(K, intensity, out=K)
+        return float(0.5 * np.sum(np.square(residual, out=t))), residual
+    np.add(K, eps * eps, out=Ke)
     if model == "MLP":
-        return float(np.sum(K - intensity * np.log(Ke))), 1.0 - intensity / Ke
-    root = np.sqrt(Ke)  # LS
-    return float(np.sum(K - 2.0 * root * amplitude)), 1.0 - amplitude / root
+        np.multiply(intensity, np.log(Ke, out=t), out=t)
+        value = float(np.sum(np.subtract(K, t, out=t)))
+        w = np.divide(intensity, Ke, out=K)
+    else:  # LS
+        root = np.sqrt(Ke, out=Ke)
+        np.multiply(np.multiply(2.0, root, out=t), amplitude, out=t)
+        value = float(np.sum(np.subtract(K, t, out=t)))
+        w = np.divide(amplitude, root, out=K)
+    return value, np.subtract(1.0, w, out=w)
 
 
 class DataMisfit:
     """Evaluator bundling value, gradient and Hessian action with FFT counting.
 
     Plane terms are accumulated in plan order so results are deterministic.
-    Instances are reentrant: no state mutates during evaluation except the
-    transform counter.
+    Value and gradient run in work arrays allocated once per instance, so an
+    instance serves one caller at a time; the gradient it returns is a fresh
+    array that later evaluations leave alone.
     """
 
     def __init__(self, spec: ObjectiveSpec, counter: TransformCounter | None = None):
         self.spec = spec
         self.counter = counter if counter is not None else TransformCounter()
         self._amplitudes = spec.data.amplitudes
+        shape = spec.grid.mask.shape
+        self._field = np.empty(shape, dtype=complex)
+        self._work = tuple(np.empty(shape) for _ in range(3))
 
     @property
     def fft_calls(self) -> int:
         return self.counter.count
 
-    def value(self, u: np.ndarray) -> float:
+    def _evaluate(self, u: np.ndarray, grad: np.ndarray | None) -> float:
+        """Misfit at ``u``; adds each plane's gradient into ``grad`` if given."""
         spec = self.spec
         total = 0.0
         for plane, intensity, amplitude in zip(
                 spec.plan, spec.data.intensities, self._amplitudes):
-            Fu = diversity_forward(u, plane, spec.grid, counter=self.counter)
-            K = np.abs(Fu) ** 2
-            total += _plane_terms(spec.model, K, intensity, amplitude,
-                                  spec.epsilon)[0]
+            Fu = diversity_forward(u, plane, spec.grid, counter=self.counter,
+                                   out=self._field)
+            value, w = _plane_terms(spec.model, Fu, intensity, amplitude,
+                                    spec.epsilon, self._work)
+            total += value
+            if grad is not None:
+                v = np.multiply(Fu, w, out=self._field)
+                grad += diversity_adjoint(v, plane, spec.grid,
+                                          counter=self.counter, out=v)
         return total
 
+    def value(self, u: np.ndarray) -> float:
+        return self._evaluate(u, None)
+
     def value_and_gradient(self, u: np.ndarray):
-        spec = self.spec
-        total = 0.0
         grad = np.zeros_like(np.asarray(u, dtype=complex))
-        for plane, intensity, amplitude in zip(
-                spec.plan, spec.data.intensities, self._amplitudes):
-            Fu = diversity_forward(u, plane, spec.grid, counter=self.counter)
-            K = np.abs(Fu) ** 2
-            value, w = _plane_terms(spec.model, K, intensity, amplitude,
-                                    spec.epsilon)
-            total += value
-            grad += diversity_adjoint(Fu * w, plane, spec.grid, counter=self.counter)
-        return total, grad
+        return self._evaluate(u, grad), grad
 
     def hessian_operator(self, u: np.ndarray):
         """Hessian action h -> H h at a fixed ``u`` (real-linear in h); the

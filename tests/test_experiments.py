@@ -237,24 +237,22 @@ class TestRunSolve:
             assert 0 <= row["morozov_index"] <= row["iterations"]
 
     def test_fft_counter_matches_instrumented_transforms(self, monkeypatch):
+        # every 2-D / n-D numpy FFT entry point the program could call
         calls = {"n": 0}
-        real_fft2, real_ifft2 = np.fft.fft2, np.fft.ifft2
 
-        def counting_fft2(*a, **k):
-            calls["n"] += 1
-            return real_fft2(*a, **k)
+        def counting(real):
+            def counted(*a, **k):
+                calls["n"] += 1
+                return real(*a, **k)
+            return counted
 
-        def counting_ifft2(*a, **k):
-            calls["n"] += 1
-            return real_ifft2(*a, **k)
-
-        monkeypatch.setattr(np.fft, "fft2", counting_fft2)
-        monkeypatch.setattr(np.fft, "ifft2", counting_ifft2)
+        for name in ("fft2", "ifft2", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
         cfg = small_config(restarts=1)
         inst = build_instance(cfg)
         calls["n"] = 0
         trace, row = run_single(cfg, inst, 0)
-        assert row["fft_calls"] == calls["n"]
+        assert row["fft_calls"] == calls["n"] > 0
 
     def test_misell_method_runs_on_defocus_planes(self, tmp_path):
         cfg = small_config(**{"solver.method": "MISELL",
@@ -513,6 +511,38 @@ class TestCli:
                    "--out", str(tmp_path / "run")])
         assert rc == 0
         assert (tmp_path / "run" / "summary.json").exists()
+
+    def test_artifacts_describe_the_instance_not_the_defaults(self, tmp_path,
+                                                               capsys):
+        inst_dir = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.type=vonkarman",
+                     "--set", "problem.n=12", "--set", "plan.defocus=-2,2",
+                     "--out", str(inst_dir)]) == 0
+        run = ["--instance", str(inst_dir), "--set", "restarts=1",
+               "--set", "solver.max_iters=5"]
+        assert main(["solve", *run, "--out", str(tmp_path / "run")]) == 0
+        config = json.loads((tmp_path / "run" / "summary.json").read_text())["config"]
+        assert config["problem.type"] == "vonkarman"
+        assert config["problem.n"] == 12
+        assert config["plan.defocus"] == "-2,2"
+        assert config["problem.r0"] == 0.1 and "problem.zernike_index" not in config
+        _, header = RunTrace.from_csv(tmp_path / "run" / "trace_restart_00.csv")
+        assert header["problem.type"] == "vonkarman" and header["problem.n"] == "12"
+        # a repeated key that agrees changes nothing
+        assert main(["solve", *run, "--set", "problem.n=12",
+                     "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "summary.json").read_bytes() == \
+            (tmp_path / "run" / "summary.json").read_bytes()
+        capsys.readouterr()
+        for sets in (["problem.n=16"], ["problem.type=zernike"],
+                     ["plan.defocus=-3,3"],
+                     ["problem.type=vonkarman", "problem.r0=0.2"]):
+            args = [a for kv in sets for a in ("--set", kv)]
+            assert main(["solve", *run, *args,
+                         "--out", str(tmp_path / "bad")]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and sets[-1].partition("=")[0] in err
+        assert not (tmp_path / "bad").exists()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--set", "nope=1", "--out", str(tmp_path / "x")])

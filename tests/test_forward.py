@@ -61,6 +61,17 @@ class TestUnitaryDft:
         unitary_dft2(np.zeros((4, 4)), inverse=True, counter=c)
         assert c.count == 2
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_out_is_returned_with_fresh_bits(self, inverse):
+        f = random_complex(np.random.default_rng(3), (16, 16))
+        fresh = unitary_dft2(f, inverse=inverse)
+        buf = np.empty_like(f)
+        assert unitary_dft2(f, inverse=inverse, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        alias = f.copy()
+        assert unitary_dft2(alias, inverse=inverse, out=alias) is alias
+        assert alias.tobytes() == fresh.tobytes()
+
 
 class TestDefocusDiag:
     def test_zero_defocus_is_ones(self):
@@ -118,6 +129,23 @@ class TestDiversityOperators:
         # a complex input is returned as is, without a copy
         assert diversity_forward(u, PlaneSpec.amplitude(), grid) is u
         assert diversity_adjoint(u, PlaneSpec.amplitude(), grid) is u
+
+    def test_out_receives_defocus_planes_only(self):
+        grid = full_grid(8)
+        rng = np.random.default_rng(7)
+        u = random_complex(rng, (8, 8))
+        kept = u.copy()
+        plane = PlaneSpec.defocus(2.5)
+        for op in (diversity_forward, diversity_adjoint):
+            fresh = op(u, plane, grid)
+            buf = np.empty_like(u)
+            assert op(u, plane, grid, out=buf) is buf
+            assert buf.tobytes() == fresh.tobytes()
+            assert op(u, PlaneSpec.amplitude(), grid, out=buf) is u
+            alias = u.copy()
+            assert op(alias, plane, grid, out=alias) is alias
+            assert alias.tobytes() == fresh.tobytes()
+        assert u.tobytes() == kept.tobytes()
 
     def test_zero_defocus_reduces_to_dft(self):
         grid = full_grid(6)

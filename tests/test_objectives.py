@@ -171,6 +171,24 @@ def test_value_and_gradient_bit_identical_to_uncached_reference(model):
     assert obj.value(u) == f_ref
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_kept_gradient_survives_next_evaluation(model):
+    # the work arrays are reused between calls; the gradient must not be
+    spec, truth = make_spec(model, n=16, eps=1e-6, defocus=(-2.0, 3.0),
+                            amplitude=True, seed=4)
+    rng = np.random.default_rng(5)
+    u1 = truth + 0.2 * random_complex(rng, (16, 16))
+    u2 = truth + 0.2 * random_complex(rng, (16, 16))
+    obj = DataMisfit(spec)
+    f1, g1 = obj.value_and_gradient(u1)
+    kept = g1.copy()
+    f2, g2 = obj.value_and_gradient(u2)
+    assert g2 is not g1 and f2 != f1
+    assert g1.tobytes() == kept.tobytes()
+    assert np.float64(obj.value(u1)).tobytes() == np.float64(f1).tobytes()
+    assert g1.tobytes() == kept.tobytes()
+
+
 class TestHvp:
     def test_zero_direction(self):
         spec, _ = make_spec("MLP")
