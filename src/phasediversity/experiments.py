@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .fields import atomic_open, key_value_lines, load_field, parse_key_values
+from .fields import (atomic_open, format_floats, key_value_lines, load_field,
+                     parse_bool, parse_floats, parse_key_values)
 from .forward import DEFOCUS, DiversityPlan, TransformCounter
 from .hessian import (
     clustering_comparison,
     closed_form_spectrum,
     dense_hessian,
-    hessian_diagonals,
     plane_matrix,
 )
 from .objectives import (
@@ -42,6 +42,7 @@ from .objectives import (
     DataMisfit,
     MeasurementSet,
     ObjectiveSpec,
+    hessian_diagonals,
     objective_floor,
 )
 from .optimizers import (
@@ -83,19 +84,6 @@ COMPARE_METHODS = ("SD", "NCG", "LBFGS", "TN")
 
 class ConfigError(ValueError):
     """Invalid configuration key or value; maps to CLI exit code 2."""
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_float_list(text: str):
-    return tuple(float(t) for t in text.split(",") if t.strip())
 
 
 def _upper(text: str) -> str:
@@ -157,7 +145,7 @@ class ExperimentConfig:
             if value is None:
                 value = "none"
             elif isinstance(value, (tuple, list)):
-                value = ",".join(f"{d:g}" for d in value)
+                value = format_floats(value)
             flat[key] = value
             if key == "problem.seed":
                 flat.update({f"problem.{k}": v for k, v in sorted(params.items())})
@@ -169,8 +157,8 @@ _KEYS = {
     "problem.type": ("problem_type", str),
     "problem.n": ("n", int),
     "problem.seed": ("problem_seed", int),
-    "plan.defocus": ("defocus", _parse_float_list),
-    "plan.amplitude_plane": ("amplitude_plane", _parse_bool),
+    "plan.defocus": ("defocus", parse_floats),
+    "plan.amplitude_plane": ("amplitude_plane", parse_bool),
     "objective.model": ("model", _upper),
     "objective.epsilon": ("epsilon", float),
     "solver.method": ("solver.method", _upper),
@@ -186,7 +174,7 @@ _KEYS = {
     "restarts": ("restarts", int),
     "noise.snr": ("snr", _optional(float)),
     "noise.seed": ("noise_seed", int),
-    "morozov.enabled": ("morozov", _parse_bool),
+    "morozov.enabled": ("morozov", parse_bool),
     "morozov.tau": ("morozov_tau", float),
     "summary.success_rms": ("success_rms", float),
     "output_dir": ("output_dir", _optional(str)),
@@ -271,9 +259,9 @@ def build_instance(config: ExperimentConfig) -> ProblemInstance:
         raise ConfigError(str(exc)) from exc
 
 
-def _objective_spec(config: ExperimentConfig, instance: ProblemInstance,
-                    model: str | None = None) -> ObjectiveSpec:
-    return ObjectiveSpec(model or config.model, config.epsilon,
+def _objective_spec(config: ExperimentConfig,
+                    instance: ProblemInstance) -> ObjectiveSpec:
+    return ObjectiveSpec(config.model, config.epsilon,
                          instance.plan, instance.data, instance.grid)
 
 
@@ -317,57 +305,53 @@ def reconcile_noise(config: ExperimentConfig,
                          "noise.seed": int(config.noise_seed)})
 
 
-_INSTANCE_KEYS = ("problem.", "plan.")
-
-
-def _describe_instance(config: ExperimentConfig,
-                       instance: ProblemInstance) -> ExperimentConfig:
-    """``config`` with its ``problem.*`` and ``plan.*`` values read from the
-    instance's meta, so artifacts describe the instance they ran on.
-
-    A key the config sets itself must agree with the instance; a
-    contradiction is an error, not a silent override.
-    """
-    described = config_from_mapping(
-        {k: str(v) for k, v in instance.meta.items()
-         if k.startswith(_INSTANCE_KEYS)})
-    has, wants = described.to_flat(), config.to_flat()
-    for key in sorted(config.given):
-        if key.startswith(_INSTANCE_KEYS) and has.get(key) != wants[key]:
-            raise ConfigError(f"instance has {key} = {has.get(key, 'none')} "
-                              f"but the config sets {wants[key]}")
-    return replace(config, problem_type=described.problem_type, n=described.n,
-                   problem_seed=described.problem_seed,
-                   problem_params=described.problem_params,
-                   defocus=described.defocus,
-                   amplitude_plane=described.amplitude_plane)
+# flat-key prefixes that describe the instance; artifacts read them from its meta
+_INSTANCE = ("problem.", "plan.")
 
 
 def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
-    """Runner prologue: the noise-reconciled instance, the created output
-    directory and the resolved config for embedding, which records the
-    instance's own problem, plan and noise keys."""
-    flat = _describe_instance(config, instance).to_flat()
-    instance = reconcile_noise(config, instance)
+    """Runner prologue, run once per batch: the noise-reconciled instance,
+    the created output directory and the resolved config for embedding.
+
+    A bad value (noise, epsilon, a plan the method cannot use) is a
+    ConfigError raised before the output directory exists.  The embedded
+    config records the instance's own problem, plan and noise keys; a
+    ``problem.*`` / ``plan.*`` key the config sets itself must agree with
+    the instance.
+    """
+    try:
+        instance = reconcile_noise(config, instance)
+        _objective_spec(config, instance)
+        if config.solver.method == "MISELL":
+            _projection_planes(instance)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    wants = config.to_flat()
+    own = {k: str(v) for k, v in wants.items() if not k.startswith(_INSTANCE)}
+    meta = {k: str(v) for k, v in instance.meta.items()
+            if k.startswith((*_INSTANCE, "noise."))}
+    flat = config_from_mapping({**own, **meta}).to_flat()
+    for key in sorted(config.given):
+        if key.startswith(_INSTANCE) and flat.get(key) != wants[key]:
+            raise ConfigError(f"instance has {key} = {flat.get(key, 'none')} "
+                              f"but the config sets {wants[key]}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    flat.update({f"noise.{k}": v for k, v in (instance.noise or {}).items()})
     return instance, out, flat
 
 
 def run_single(config: ExperimentConfig, instance: ProblemInstance,
-               restart: int, method: str | None = None,
-               model: str | None = None):
-    """One seeded solve; returns (trace, summary row dict)."""
+               restart: int):
+    """One seeded solve of ``config.model`` by ``config.solver.method``;
+    returns (trace, summary row dict)."""
     seed = config.solver.seed + restart
     z0 = initial_guess(instance.grid.mask, seed)
     counter = TransformCounter()
-    method = method or config.solver.method
-    solver_cfg = replace(config.solver, method=method, seed=seed)
-    spec = _objective_spec(config, instance, model)
+    solver_cfg = replace(config.solver, seed=seed)
+    spec = _objective_spec(config, instance)
 
     projection = None
-    if method == "MISELL":
+    if solver_cfg.method == "MISELL":
         projection = _projection_planes(instance)
         plan, data = projection
         _, trace = misell_iterate(z0, plan, data, instance.grid,
@@ -431,23 +415,23 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _failed_row(restart: int, seed: int, exc: Exception) -> dict:
-    return {"restart": restart, "seed": seed, "iterations": 0, "fft_calls": 0,
-            "stop_reason": f"error: {exc}", "final_f": float("nan"),
-            "final_rms": float("nan"), "min_rms": float("nan")}
-
-
-def _isolated_single(config: ExperimentConfig, instance: ProblemInstance,
-                     restart: int, **which):
-    """:func:`run_single`, with a failure inside the restart recorded on its
-    row as ``(None, failed row)`` instead of aborting the batch.  Config
-    errors still propagate."""
-    try:
-        return run_single(config, instance, restart, **which)
-    except ConfigError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - isolate restart failures
-        return None, _failed_row(restart, config.solver.seed + restart, exc)
+def _restarts(config: ExperimentConfig, instance: ProblemInstance):
+    """``(trace, row)`` of every restart of the batch.  A failure inside one
+    restart is recorded on its row as ``(None, row)`` and does not abort
+    the batch; config errors still propagate."""
+    results = []
+    for i in range(config.restarts):
+        try:
+            results.append(run_single(config, instance, i))
+        except ConfigError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - isolate restart failures
+            nan = float("nan")
+            results.append((None, {
+                "restart": i, "seed": config.solver.seed + i, "iterations": 0,
+                "fft_calls": 0, "stop_reason": f"error: {exc}",
+                "final_f": nan, "final_rms": nan, "min_rms": nan}))
+    return results
 
 
 def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
@@ -457,16 +441,14 @@ def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     not abort the batch.
     """
     instance, out, flat = _prepare(config, instance, out_dir)
-    rows = []
-    for i in range(config.restarts):
-        trace, row = _isolated_single(config, instance, i)
-        rows.append(row)
-        if trace is None:
-            continue
-        header = dict(flat)
-        header.update({"restart": i, "seed": row["seed"], "method": trace.method,
-                       "stop_reason": trace.stop_reason})
-        trace.to_csv(out / f"trace_restart_{i:02d}.csv", header=header)
+    results = _restarts(config, instance)
+    for trace, row in results:
+        if trace is not None:
+            i = row["restart"]
+            header = {**flat, "restart": i, "seed": row["seed"],
+                      "method": trace.method, "stop_reason": trace.stop_reason}
+            trace.to_csv(out / f"trace_restart_{i:02d}.csv", header=header)
+    rows = [row for _, row in results]
     summary = {"config": flat, "restarts": rows,
                "aggregates": _aggregates(rows, config.success_rms)}
     _write_json(out / "summary.json", summary)
@@ -483,12 +465,10 @@ def run_compare_methods(config: ExperimentConfig, instance: ProblemInstance,
     instance, out, flat = _prepare(config, instance, out_dir)
     table = []
     for method in COMPARE_METHODS:
-        rows = [_isolated_single(config, instance, i, method=method)[1]
-                for i in range(config.restarts)]
-        entry = {"method": method}
-        entry.update(_aggregates(rows, config.success_rms))
-        entry["restarts"] = rows
-        table.append(entry)
+        batch = replace(config, solver=replace(config.solver, method=method))
+        rows = [row for _, row in _restarts(batch, instance)]
+        table.append({"method": method, **_aggregates(rows, config.success_rms),
+                      "restarts": rows})
     fft = {e["method"]: e["mean_fft_calls"] for e in table}
     orderings = {
         "lbfgs_lt_ncg": fft["LBFGS"] < fft["NCG"],
@@ -527,22 +507,20 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
     series_lines = []
     per_model = {}
     for model in MODELS:
+        results = _restarts(replace(config, model=model), instance)
         reached = []
-        rows = []
-        for i in range(config.restarts):
-            trace, row = _isolated_single(config, instance, i, model=model)
-            rows.append(row)
+        for trace, row in results:
             if trace is None:
                 reached.append(None)
                 continue
             for rec in trace.records:
-                series_lines.append(
-                    f"{model},{i},{rec.iteration},{rec.rms:.17g},{rec.f_value:.17g}")
+                series_lines.append(f"{model},{row['restart']},{rec.iteration},"
+                                    f"{rec.rms:.17g},{rec.f_value:.17g}")
             reached.append(iterations_to_rms(trace, rms_target))
         per_model[model] = {
             "iterations_to_target": reached,
             "n_reached": sum(1 for r in reached if r is not None),
-            "restarts": rows,
+            "restarts": [row for _, row in results],
         }
     with atomic_open(out / "compare_models.csv") as fh:
         fh.write(key_value_lines(flat, "# "))
@@ -586,9 +564,9 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
                                                intensity, config.epsilon)
             planes.append({
                 "plane": plane.kind if plane.kind != DEFOCUS
-                else f"defocus {plane.defocus_waves:g}",
+                else f"defocus {format_floats([plane.defocus_waves])}",
                 "models": models,
-                "clustering": clustering.to_dict(),
+                "clustering": asdict(clustering),
             })
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

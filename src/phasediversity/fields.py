@@ -6,8 +6,10 @@ here are elementwise or reductions, so a stacked 1-D vector and a 2-D
 grid behave identically.
 
 The module also owns the on-disk formats: one ``key = value`` codec
-(:func:`key_value_lines` / :func:`parse_key_values`) for ``config.txt``
-and every CSV's ``# key = value`` header, real-valued CSV fields through
+(:func:`key_value_lines` / :func:`parse_key_values`, with the value
+parsers :func:`parse_bool` / :func:`parse_floats` and the exact float-list
+writer :func:`format_floats`) for ``config.txt`` and every CSV's
+``# key = value`` header, real-valued CSV fields through
 numpy, complex fields as ``.npy``, all written by :func:`atomic_open`.
 """
 
@@ -27,6 +29,9 @@ __all__ = [
     "atomic_open",
     "key_value_lines",
     "parse_key_values",
+    "parse_bool",
+    "parse_floats",
+    "format_floats",
     "save_field",
     "load_field",
     "field_to_csv",
@@ -111,6 +116,27 @@ def parse_key_values(lines) -> dict:
             raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
         mapping[key.strip()] = value.strip()
     return mapping
+
+
+def parse_bool(text: str) -> bool:
+    """``true/1/yes/on`` or ``false/0/no/off`` in any case; else ValueError."""
+    t = text.strip().lower()
+    if t in ("true", "1", "yes", "on"):
+        return True
+    if t in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def parse_floats(text: str) -> tuple:
+    """Comma-separated floats; empty items are skipped."""
+    return tuple(float(t) for t in text.split(",") if t.strip())
+
+
+def format_floats(values) -> str:
+    """Comma-separated floats that :func:`parse_floats` reads back exactly
+    (shortest round-trip repr, a trailing ``.0`` dropped: ``-3,3``)."""
+    return ",".join(str(float(v)).removesuffix(".0") for v in values)
 
 
 def save_field(path, arr: np.ndarray) -> None:

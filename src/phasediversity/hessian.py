@@ -8,7 +8,7 @@ Hessian
 
 acting on (h; conj(h)), where U is the plane's unitary operator and
 (r, c) are the same per-pixel coefficients that drive the matrix-free
-Hessian action.  A block-diagonal unitary similarity reduces any such
+Hessian action (``objectives.hessian_diagonals``, re-exported here).  A block-diagonal unitary similarity reduces any such
 matrix to [[diag(r), diag(c)], [diag(conj(c)), diag(r)]], so the
 spectrum is exactly {r_i + |c_i|, r_i - |c_i|} regardless of U.
 
@@ -18,12 +18,12 @@ Dense assembly is a verification tool, limited to grids of at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .forward import DiversityPlan, PlaneSpec, PupilGrid, diversity_forward
-from .objectives import MeasurementSet, hvp_coefficients
+from .objectives import MeasurementSet, hessian_diagonals
 
 __all__ = [
     "DENSE_PIXEL_LIMIT",
@@ -63,34 +63,13 @@ class SpectrumReport:
                    cond, float(values[-1] - values[0]))
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "condition_ratio": self.condition_ratio,
-            "clustering_width": self.clustering_width,
-        }
+        return {**asdict(self), "eigenvalues": self.eigenvalues.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumReport":
         return cls(d["model"], np.asarray(d["eigenvalues"], dtype=float),
                    d["lambda_min"], d["lambda_max"], d["condition_ratio"],
                    d["clustering_width"])
-
-
-def hessian_diagonals(model: str, u: np.ndarray, plane: PlaneSpec,
-                      grid: PupilGrid, intensity: np.ndarray, eps: float):
-    """Per-pixel structured-Hessian coefficients (r real, c complex).
-
-    These are the coefficients of the plane's Hessian action
-    H(h) = F*(r o F(h) + c o conj(F(h))).
-    """
-    Fu = diversity_forward(u, plane, grid)
-    K = np.abs(Fu) ** 2
-    intensity = np.asarray(intensity, dtype=float)
-    r, c = hvp_coefficients(model, Fu, K, intensity, np.sqrt(intensity), eps)
-    return np.asarray(r, dtype=float), np.asarray(c, dtype=complex)
 
 
 def structured_eigenvalues(r: np.ndarray, c: np.ndarray,
@@ -174,16 +153,6 @@ class ClusteringReport:
     ls_min_times2: float
     ls_interval_contained: bool
     margin_pixel_exists: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mlp_max": self.mlp_max,
-            "mlp_min": self.mlp_min,
-            "ls_max_times2": self.ls_max_times2,
-            "ls_min_times2": self.ls_min_times2,
-            "ls_interval_contained": self.ls_interval_contained,
-            "margin_pixel_exists": self.margin_pixel_exists,
-        }
 
 
 def clustering_comparison(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,

@@ -11,10 +11,10 @@ K_m(u) = |F_m(u)|^2, summed over planes with equal weights:
 
 Gradients follow the conjugate-coordinate convention: the returned g
 satisfies f(u + h) ~ f(u) + 2 Re<h, g>.  The Hessian is applied
-matrix-free as H(h) = F*(a o F(h)) + F*(b o conj(F(h))) with real
-coefficient a and complex coefficient b per plane; the same (a, b)
-vectors are the structured-Hessian diagonals used by the spectrum
-analysis module.
+matrix-free as H(h) = F*(r o F(h)) + F*(c o conj(F(h))) with real
+coefficient r and complex coefficient c per plane; the same (r, c)
+vectors, from :func:`hessian_diagonals`, are the structured-Hessian
+diagonals used by the spectrum analysis module.
 
 The eps^2 perturbation is added to intensity inside log and sqrt (not
 eps to amplitude); the first LS term keeps K unperturbed.
@@ -30,6 +30,7 @@ import numpy as np
 from .fields import require_intensity, require_same_shape
 from .forward import (
     DiversityPlan,
+    PlaneSpec,
     PupilGrid,
     TransformCounter,
     diversity_adjoint,
@@ -42,7 +43,7 @@ __all__ = [
     "ObjectiveSpec",
     "DataMisfit",
     "objective_floor",
-    "hvp_coefficients",
+    "hessian_diagonals",
 ]
 
 MODELS = ("MLP", "LS", "LSI")
@@ -92,24 +93,27 @@ class ObjectiveSpec:
             require_same_shape(i, self.grid.mask)
 
 
-def hvp_coefficients(model: str, Fu: np.ndarray, K: np.ndarray,
-                     intensity: np.ndarray, amplitude: np.ndarray,
-                     eps: float):
-    """Per-plane Hessian coefficients (a, b): H(h) = F*(a o Fh + b o conj(Fh)).
-
-    ``a`` is real (the diagonal block), ``b`` complex (the conjugate block).
-    """
+def hessian_diagonals(model: str, u: np.ndarray, plane: PlaneSpec,
+                      grid: PupilGrid, intensity: np.ndarray, eps: float,
+                      counter: TransformCounter | None = None):
+    """Per-pixel structured-Hessian coefficients (r real, c complex) of the
+    plane's Hessian action H(h) = F*(r o F(h) + c o conj(F(h))) at ``u``;
+    costs one transform."""
+    Fu = diversity_forward(u, plane, grid, counter=counter)
+    K = np.abs(Fu) ** 2
+    intensity = np.asarray(intensity, dtype=float)
     Ke = K + eps * eps
     if model == "MLP":
-        a = 1.0 - (eps * eps) * intensity / Ke**2
-        b = intensity * Fu**2 / Ke**2
+        r = 1.0 - (eps * eps) * intensity / Ke**2
+        c = intensity * Fu**2 / Ke**2
     elif model == "LS":
-        a = 1.0 - (amplitude / (2.0 * np.sqrt(Ke))) * ((K + 2.0 * eps * eps) / Ke)
-        b = Fu**2 * amplitude / (2.0 * Ke**1.5)
+        amplitude = np.sqrt(intensity)
+        r = 1.0 - (amplitude / (2.0 * np.sqrt(Ke))) * ((K + 2.0 * eps * eps) / Ke)
+        c = Fu**2 * amplitude / (2.0 * Ke**1.5)
     else:  # LSI
-        a = 2.0 * K - intensity
-        b = Fu**2
-    return a, b
+        r = 2.0 * K - intensity
+        c = Fu**2
+    return np.asarray(r, dtype=float), np.asarray(c, dtype=complex)
 
 
 def _plane_terms(model: str, Fu: np.ndarray, intensity: np.ndarray,
@@ -186,20 +190,16 @@ class DataMisfit:
         per-plane coefficients cost one transform per plane to build, and
         each application (one inner CG step) two."""
         spec = self.spec
-        cached = []
-        for plane, intensity, amplitude in zip(
-                spec.plan, spec.data.intensities, self._amplitudes):
-            Fu = diversity_forward(u, plane, spec.grid, counter=self.counter)
-            K = np.abs(Fu) ** 2
-            a, b = hvp_coefficients(spec.model, Fu, K, intensity, amplitude,
-                                    spec.epsilon)
-            cached.append((plane, a, b))
+        cached = [(plane, *hessian_diagonals(spec.model, u, plane, spec.grid,
+                                             intensity, spec.epsilon,
+                                             self.counter))
+                  for plane, intensity in zip(spec.plan, spec.data.intensities)]
 
         def apply(h: np.ndarray) -> np.ndarray:
             out = np.zeros_like(np.asarray(u, dtype=complex))
-            for plane, a, b in cached:
+            for plane, r, c in cached:
                 Fh = diversity_forward(h, plane, spec.grid, counter=self.counter)
-                out += diversity_adjoint(a * Fh + b * np.conj(Fh), plane,
+                out += diversity_adjoint(r * Fh + c * np.conj(Fh), plane,
                                          spec.grid, counter=self.counter)
             return out
 

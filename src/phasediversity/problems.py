@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (atomic_open, field_from_csv, field_to_csv, key_value_lines,
-                     load_field, parse_key_values, require_same_shape, save_field)
+from .fields import (atomic_open, field_from_csv, field_to_csv, format_floats,
+                     key_value_lines, load_field, parse_bool, parse_floats,
+                     parse_key_values, require_same_shape, save_field)
 from .forward import DiversityPlan, PupilGrid, predict_intensity
 from .objectives import MeasurementSet
 
@@ -361,7 +362,7 @@ def build_problem(ptype: str, n: int, seed: int = 0,
 
     meta = {"problem.type": ptype, "problem.n": n, "problem.seed": seed}
     meta.update({f"problem.{k}": v for k, v in sorted(opts.items())})
-    meta["plan.defocus"] = ",".join(f"{d:g}" for d in defocus)
+    meta["plan.defocus"] = format_floats(defocus)
     meta["plan.amplitude_plane"] = amplitude_plane
     if snr is not None:
         data = add_poisson_noise(data, snr, noise_seed)
@@ -386,16 +387,17 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 def load_instance(path) -> ProblemInstance:
     """Read a :func:`save_instance` directory; ValueError on a malformed
-    ``config.txt`` line or a plane whose shape differs from the truth's."""
+    ``config.txt`` line or plan value (parsed as the config parses it), or
+    a plane whose shape differs from the truth's."""
     path = Path(path)
     with open(path / "config.txt") as fh:
         meta = parse_key_values(fh)
     truth = load_field(path / "truth.npy")
     n = truth.shape[0]
     grid = PupilGrid(n, np.abs(truth) > 0.5)
-    defocus = [float(t) for t in meta["plan.defocus"].split(",") if t]
-    amplitude = meta.get("plan.amplitude_plane", "False") == "True"
-    plan = DiversityPlan.from_defocus(defocus, amplitude)
+    plan = DiversityPlan.from_defocus(
+        parse_floats(meta["plan.defocus"]),
+        parse_bool(meta.get("plan.amplitude_plane", "false")))
     intensities = [field_from_csv(path / f"plane_{m:02d}.csv")
                    for m in range(len(plan))]
     for intensity in intensities:

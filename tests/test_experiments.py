@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from phasediversity.experiments import (
     simulate,
 )
 from phasediversity.fields import field_from_csv
+from phasediversity.forward import AMPLITUDE
 from phasediversity.hessian import SpectrumReport
 from phasediversity.objectives import DataMisfit, ObjectiveSpec
 from phasediversity.optimizers import RunTrace
@@ -266,10 +268,10 @@ class TestRunSolve:
 
         real = exp.run_single
 
-        def flaky(config, instance, restart, **kw):
+        def flaky(config, instance, restart):
             if restart == 0:
                 raise RuntimeError("synthetic blow-up")
-            return real(config, instance, restart, **kw)
+            return real(config, instance, restart)
 
         monkeypatch.setattr(exp, "run_single", flaky)
         cfg = small_config(restarts=3)
@@ -311,6 +313,7 @@ class TestRunSolve:
         inst = build_instance(cfg)
         with pytest.raises(ConfigError):
             run_solve(cfg, inst, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompareRunners:
@@ -358,7 +361,8 @@ class TestCompareRunners:
             assert [r["restart"] for r in rows] == [0, 1]
             assert rows == payload["models"][model]["restarts"]
             for row in rows:
-                trace, direct = run_single(cfg, inst, row["restart"], model=model)
+                trace, direct = run_single(replace(cfg, model=model), inst,
+                                           row["restart"])
                 assert row["fft_calls"] == direct["fft_calls"] > 0
                 assert row["iterations"] == direct["iterations"]
                 assert row["stop_reason"] == direct["stop_reason"]
@@ -377,10 +381,11 @@ class TestCompareRunners:
         real = exp.run_single
         bad = {"method": "TN", "model": "MLP"}[which]
 
-        def flaky(config, instance, restart, **kw):
-            if restart == 1 and kw.get(which) == bad:
+        def flaky(config, instance, restart):
+            name = {"method": config.solver.method, "model": config.model}[which]
+            if restart == 1 and name == bad:
                 raise RuntimeError("synthetic blow-up")
-            return real(config, instance, restart, **kw)
+            return real(config, instance, restart)
 
         monkeypatch.setattr(exp, "run_single", flaky)
         cfg = small_config(restarts=2, **{"solver.max_iters": 8})
@@ -408,10 +413,11 @@ class TestCompareRunners:
 
         real = exp.run_single
 
-        def flaky(config, instance, restart, **kw):
-            if kw["method"] == "SD" or (kw["method"] == "TN" and restart == 1):
+        def flaky(config, instance, restart):
+            method = config.solver.method
+            if method == "SD" or (method == "TN" and restart == 1):
                 raise RuntimeError("synthetic blow-up")
-            return real(config, instance, restart, **kw)
+            return real(config, instance, restart)
 
         monkeypatch.setattr(exp, "run_single", flaky)
         cfg = small_config(restarts=2)
@@ -465,12 +471,13 @@ class TestCompareRunners:
 
 class TestAnalyzeHessian:
     def test_report_schema_roundtrips(self, tmp_path):
-        cfg = small_config(**{"problem.n": 8})
+        cfg = small_config(**{"problem.n": 8, "plan.defocus": "-3.1234567,3"})
         inst = build_instance(cfg)
         payload = run_analyze_hessian(cfg, inst, "truth", tmp_path / "hx")
         data = json.loads((tmp_path / "hx" / "hessian_analysis.json").read_text())
         assert data["point"] == "truth"
-        assert len(data["planes"]) == len(inst.plan)
+        assert [p["plane"] for p in data["planes"]] == [
+            "amplitude", "defocus -3.1234567", "defocus 3"]
         for plane in data["planes"]:
             for model, entry in plane["models"].items():
                 report = SpectrumReport.from_dict(entry)
@@ -586,6 +593,24 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "hx" / "hessian_analysis.json").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "compare-methods",
+                                         "compare-models"])
+    @pytest.mark.parametrize("setting", ["objective.epsilon=0",
+                                         "objective.epsilon=-1",
+                                         "noise.snr=0", "noise.snr=-1"])
+    def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys,
+                                                 command, setting):
+        inst_dir = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.n=8",
+                     "--out", str(inst_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main([command, "--instance", str(inst_dir), "--set", setting,
+                     "--set", "restarts=1", "--set", "solver.max_iters=3",
+                     "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_intensity_csvs_parse_with_headers(self, tmp_path):
         inst_dir = tmp_path / "inst"
         assert main(["simulate", "--set", "problem.n=12",
@@ -662,6 +687,26 @@ class TestArtifactFormat:
             assert main([command, *args, "--instance", str(inst),
                          "--out", str(tmp_path / command)]) == 2
             assert "cannot load instance" in capsys.readouterr().err
+
+    def test_plan_flag_read_like_the_config(self, tmp_path, capsys):
+        inst, args = self._simulate(tmp_path)
+        assert main(["solve", *args, "--instance", str(inst),
+                     "--out", str(tmp_path / "as_written")]) == 0
+        config = inst / "config.txt"
+        text = config.read_text()
+        assert "plan.amplitude_plane = True\n" in text
+        config.write_text(text.replace("= True", "= true"))
+        assert load_instance(inst).plan.planes[0].kind == AMPLITUDE
+        assert main(["solve", *args, "--instance", str(inst),
+                     "--out", str(tmp_path / "lower")]) == 0
+        assert (tmp_path / "lower" / "summary.json").read_bytes() == \
+            (tmp_path / "as_written" / "summary.json").read_bytes()
+        capsys.readouterr()
+        config.write_text(text.replace("= True", "= maybe"))
+        assert main(["solve", *args, "--instance", str(inst),
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert "not a boolean" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_config_line_without_equals_is_load_error(self, tmp_path):
         inst, args = self._simulate(tmp_path)

@@ -8,8 +8,10 @@ from phasediversity.fields import (
     atomic_open,
     field_from_csv,
     field_to_csv,
+    format_floats,
     key_value_lines,
     load_field,
+    parse_floats,
     parse_key_values,
     save_field,
 )
@@ -128,6 +130,17 @@ class TestKeyValueCodec:
     def test_line_without_key_rejected(self, line):
         with pytest.raises(ValueError, match="line 2"):
             parse_key_values(["a = 1", line])
+
+
+class TestFloatList:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False), max_size=6))
+    def test_roundtrip_is_exact(self, values):
+        assert parse_floats(format_floats(values)) == tuple(values)
+
+    def test_whole_numbers_keep_their_short_form(self):
+        assert format_floats((-3.0, 3.0)) == "-3,3"
+        assert format_floats((-3.1234567, 0.5)) == "-3.1234567,0.5"
 
 
 class TestAtomicOpen:

@@ -286,6 +286,15 @@ class TestProblemInstances:
         assert abs(DataMisfit(spec).value(back.truth)
                    - (-sum(float(i.sum()) for i in back.data.intensities))) < 1e-6
 
+    def test_plan_survives_save_load_exactly(self, tmp_path):
+        inst = build_problem("zernike", 16, defocus=(-3.1234567, 3.0))
+        save_instance(inst, tmp_path / "inst")
+        back = load_instance(tmp_path / "inst")
+        assert back.plan == inst.plan
+        # the reloaded plan reproduces its own data: the LSI misfit is zero
+        spec = ObjectiveSpec("LSI", 1e-14, back.plan, back.data, back.grid)
+        assert DataMisfit(spec).value(back.truth) == 0.0
+
     def test_noisy_misfit_grows_as_snr_decreases(self, bench32):
         from phasediversity.objectives import objective_floor
 
