@@ -29,7 +29,7 @@ import numpy as np
 
 from .fields import (atomic_open, format_floats, key_value_lines, load_field,
                      parse_bool, parse_floats, parse_key_values)
-from .forward import DEFOCUS, DiversityPlan, TransformCounter
+from .forward import DEFOCUS, DiversityPlan
 from .hessian import (
     clustering_comparison,
     closed_form_spectrum,
@@ -346,20 +346,16 @@ def run_single(config: ExperimentConfig, instance: ProblemInstance,
     returns (trace, summary row dict)."""
     seed = config.solver.seed + restart
     z0 = initial_guess(instance.grid.mask, seed)
-    counter = TransformCounter()
-    solver_cfg = replace(config.solver, seed=seed)
     spec = _objective_spec(config, instance)
 
     projection = None
-    if solver_cfg.method == "MISELL":
+    if config.solver.method == "MISELL":
         projection = _projection_planes(instance)
         plan, data = projection
         _, trace = misell_iterate(z0, plan, data, instance.grid,
-                                  solver_cfg.max_iters, truth=instance.truth,
-                                  counter=counter)
+                                  config.solver.max_iters, truth=instance.truth)
     else:
-        objective = DataMisfit(spec, counter)
-        _, trace = solve(objective, solver_cfg, z0, truth=instance.truth)
+        _, trace = solve(DataMisfit(spec), config.solver, z0, truth=instance.truth)
 
     last = trace.records[-1]
     row = {

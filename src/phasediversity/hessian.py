@@ -65,12 +65,6 @@ class SpectrumReport:
     def to_dict(self) -> dict:
         return {**asdict(self), "eigenvalues": self.eigenvalues.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectrumReport":
-        return cls(d["model"], np.asarray(d["eigenvalues"], dtype=float),
-                   d["lambda_min"], d["lambda_max"], d["condition_ratio"],
-                   d["clustering_width"])
-
 
 def structured_eigenvalues(r: np.ndarray, c: np.ndarray,
                            model: str = "") -> SpectrumReport:

@@ -15,8 +15,10 @@ non-finite value or slope counts as a step too long.
 Methods, all run by :func:`solve` and selected by ``SolverConfig.method``:
 steepest descent, Hestenes-Stiefel nonlinear conjugate gradient,
 limited-memory BFGS (two-loop recursion on the complex gradient) and
-truncated Newton with matrix-free inner CG; :func:`misell_iterate` runs
-the Misell alternating-projection baseline.
+truncated Newton with matrix-free inner CG.  They share one iteration
+body and differ only in the search direction; a failed search retries
+once along -g, unless the failed direction already equals -g.
+:func:`misell_iterate` runs the Misell alternating-projection baseline.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class SolverConfig:
             raise ValueError("lbfgs_memory must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if self.tn_cg_max is not None and self.tn_cg_max < 1:
+            raise ValueError("tn_cg_max must be >= 1 or none")
 
 
 class TraceRecord(NamedTuple):
@@ -247,7 +251,6 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
                 or f_a > f0 + c1 * alpha * dphi0 or f_a >= f_ref)
 
     def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
-        nonlocal evals
         while evals < max_evals:
             width = hi - lo
             if abs(width) <= 1e-18 * max(1.0, abs(lo)):
@@ -270,10 +273,10 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
 
     alpha_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     alpha = 1.0
-    first = True
     while evals < max_evals:
         z_a, f_a, g_a, dphi_a = evaluate(alpha)
-        if too_long(alpha, f_a, dphi_a, math.inf if first else f_prev):
+        f_ref = math.inf if alpha_prev == 0.0 else f_prev
+        if too_long(alpha, f_a, dphi_a, f_ref):
             return zoom(alpha_prev, f_prev, dphi_prev, alpha, f_a, dphi_a)
         if abs(dphi_a) <= -c2 * dphi0:
             return LineSearchResult(alpha, z_a, f_a, g_a, evals)
@@ -281,7 +284,6 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
             return zoom(alpha, f_a, dphi_a, alpha_prev, f_prev, dphi_prev)
         alpha_prev, f_prev, dphi_prev = alpha, f_a, dphi_a
         alpha *= 2.0
-        first = False
     raise LineSearchError("line search exhausted its evaluation budget")
 
 
@@ -378,12 +380,10 @@ def _newton_cg_direction(obj, z, g, cg_max):
     gnorm = math.sqrt(rr)
     tol = min(0.5, math.sqrt(gnorm)) * gnorm
     negative = False
-    for i in range(cg_max):
+    for _ in range(cg_max):
         Hp = apply_h(p)
         pHp = _redot(p, Hp)
         if pHp <= 0.0:
-            if i == 0:
-                d = -g
             negative = True
             break
         step = rr / pHp
@@ -415,9 +415,10 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
     :class:`FunctionObjective` both provide all three.
 
     ``truth`` (optional) enables the per-iteration aligned-RMS column.
-    Line-search failure on a non-gradient direction falls back to the
-    steepest descent direction once per iteration; a failure on the
-    gradient direction terminates the run.
+    Each iteration records the current point, then stops on the first of
+    tol_fun, tol_x, grad_zero and max_iters that holds.  A failed line
+    search retries once along -g, unless the failed direction already
+    equals -g, in which case the run stops with line_search_fail.
     """
     method = config.method
     if method not in ("SD", "NCG", "LBFGS", "TN"):
@@ -427,85 +428,54 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
     z = np.array(z0, dtype=complex)
     trace = RunTrace(method=method)
     f, g = obj.value_and_gradient(z)
-    gnorm = float(np.linalg.norm(g.ravel()))
-    trace.append(TraceRecord(0, f, gnorm, float("nan"), _rms_or_nan(truth, z),
-                             obj.fft_calls, False))
-    if gnorm <= config.grad_tol:
-        trace.stop_reason = "grad_zero"
-        return z, trace
-
-    memory = LbfgsMemory(config.lbfgs_memory) if method == "LBFGS" else None
-    d_prev = None
-    g_prev = None
+    memory = LbfgsMemory(config.lbfgs_memory)
     cg_max = config.tn_cg_max if config.tn_cg_max is not None else 2 * z.size
+    alpha, negative_curvature = float("nan"), False
 
-    for k in range(1, config.max_iters + 1):
-        negative_curvature = False
-        if method == "SD":
-            d = -g
-            is_gradient_dir = True
-        elif method == "NCG":
-            is_gradient_dir = False
-            if d_prev is None:
-                d = -g
-                is_gradient_dir = True
-            else:
-                beta = hestenes_stiefel_beta(g, g_prev, d_prev)
-                if beta == 0.0:
-                    d = -g
-                    is_gradient_dir = True
-                else:
-                    d = -g + beta * d_prev
-        elif method == "LBFGS":
+    for k in range(config.max_iters + 1):
+        gnorm = float(np.linalg.norm(g.ravel()))
+        trace.append(TraceRecord(k, f, gnorm, alpha, _rms_or_nan(truth, z),
+                                 obj.fft_calls, negative_curvature))
+        if k > 0 and abs(f_old - f) <= config.tol_fun * max(1.0, abs(f_old)):
+            trace.stop_reason = "tol_fun"
+        elif k > 0 and float(np.linalg.norm(s.ravel())) <= config.tol_x * max(
+                1.0, float(np.linalg.norm(z_old.ravel()))):
+            trace.stop_reason = "tol_x"
+        elif gnorm <= config.grad_tol:
+            trace.stop_reason = "grad_zero"
+        elif k == config.max_iters:
+            trace.stop_reason = "max_iters"
+        if trace.stop_reason:
+            return z, trace
+
+        steepest = -g
+        if method == "LBFGS":
             d = lbfgs_direction(g, memory)
-            is_gradient_dir = len(memory) == 0
-        else:  # TN
+        elif method == "TN":
             d, negative_curvature = _newton_cg_direction(obj, z, g, cg_max)
-            is_gradient_dir = False
-
+        elif method == "NCG" and k > 0:
+            beta = hestenes_stiefel_beta(g, g_prev, d)
+            d = steepest + beta * d if beta != 0.0 else steepest
+        else:  # SD, and NCG's first step
+            d = steepest
         if _redot(d, g) >= 0.0:
-            d = -g
-            is_gradient_dir = True
+            d = steepest
 
-        try:
-            ls = wolfe_line_search(obj.value_and_gradient, z, d, g, f0=f,
-                                   c1=config.c1, c2=config.c2)
-        except LineSearchError:
-            if is_gradient_dir:
-                trace.stop_reason = "line_search_fail"
-                return z, trace
-            d = -g
+        for d in (d, steepest):
             try:
                 ls = wolfe_line_search(obj.value_and_gradient, z, d, g, f0=f,
                                        c1=config.c1, c2=config.c2)
+                break
             except LineSearchError:
-                trace.stop_reason = "line_search_fail"
-                return z, trace
+                if np.array_equal(d, steepest):
+                    trace.stop_reason = "line_search_fail"
+                    return z, trace
 
         s = ls.z_new - z
-        if memory is not None:
+        if method == "LBFGS":
             memory.push(s, ls.g_new - g)
-
-        g_prev, d_prev = g, d
-        f_old, z_old = f, z
-        z, f, g = ls.z_new, ls.f_new, ls.g_new
-        gnorm = float(np.linalg.norm(g.ravel()))
-        trace.append(TraceRecord(k, f, gnorm, ls.alpha, _rms_or_nan(truth, z),
-                                 obj.fft_calls, negative_curvature))
-
-        if abs(f_old - f) <= config.tol_fun * max(1.0, abs(f_old)):
-            trace.stop_reason = "tol_fun"
-            return z, trace
-        if float(np.linalg.norm(s.ravel())) <= config.tol_x * max(
-                1.0, float(np.linalg.norm(z_old.ravel()))):
-            trace.stop_reason = "tol_x"
-            return z, trace
-        if gnorm <= config.grad_tol:
-            trace.stop_reason = "grad_zero"
-            return z, trace
-
-    trace.stop_reason = "max_iters"
-    return z, trace
+        f_old, z_old, g_prev = f, z, g
+        z, f, g, alpha = ls.z_new, ls.f_new, ls.g_new, ls.alpha
 
 
 def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,

@@ -155,13 +155,24 @@ class TestSteepestDescent:
         assert trace.stop_reason == "grad_zero"
         assert np.array_equal(z, a)
 
-    def test_line_search_failure_terminates(self):
+    @pytest.mark.parametrize("method", ["SD", "NCG", "LBFGS", "TN"])
+    def test_line_search_failure_terminates(self, method):
+        # Constant gradient: no step meets the curvature condition.  The
+        # Hessian -I sends TN to its own -g fallback, which, like every
+        # method's first direction, is -g itself and so is searched once:
+        # one start evaluation plus one exhausted 50-evaluation search.
         c = np.array([1.0 + 0.5j])
-        fg = lambda z: (float(2 * np.real(np.vdot(c, z))), 2 * c.copy())
-        z, trace = solve(FunctionObjective(fg), SolverConfig(method="SD"),
-                         np.zeros(1, complex))
+        calls = []
+
+        def fg(z):
+            calls.append(z)
+            return float(2 * np.real(np.vdot(c, z))), 2 * c.copy()
+
+        obj = FunctionObjective(fg, hvp=lambda z, h: -h)
+        z, trace = solve(obj, SolverConfig(method=method), np.zeros(1, complex))
         assert trace.stop_reason == "line_search_fail"
         assert trace.iterations == 0
+        assert len(calls) == 51
 
 
 class TestNcg:
@@ -362,6 +373,29 @@ class TestSolverInfrastructure:
             SolverConfig(c1=0.5, c2=0.1)
         with pytest.raises(ValueError):
             SolverConfig(lbfgs_memory=0)
+        with pytest.raises(ValueError, match="tn_cg_max must be >= 1 or none"):
+            SolverConfig(tn_cg_max=0)
+        assert SolverConfig(tn_cg_max=1).tn_cg_max == 1
+
+    @pytest.mark.parametrize("method", ["SD", "NCG", "LBFGS", "TN"])
+    @pytest.mark.parametrize("at_target, scale, settings, reason, records", [
+        (True, 1.0, {"max_iters": 0}, "grad_zero", 1),
+        (False, 1.0, {"max_iters": 0}, "max_iters", 1),
+        (False, 1.0, {"max_iters": 1}, "grad_zero", 2),
+        (False, 1e-10, {}, "tol_fun", 2),
+        (False, 1e-10, {"tol_fun": 0.0, "tol_x": 1e-9}, "tol_x", 2),
+    ], ids=["stationary-start", "no-iterations", "converged-at-last-iteration",
+            "tol_fun-before-grad_zero", "tol_x-before-grad_zero"])
+    def test_stop_reason_order(self, method, at_target, scale, settings,
+                               reason, records):
+        # Each record is followed by one test chain: tol_fun, tol_x,
+        # grad_zero, max_iters; the first that holds names the stop.
+        a = scale * random_complex(np.random.default_rng(5), 4)
+        z0 = a.copy() if at_target else np.zeros(4, complex)
+        _, trace = solve(shifted_quadratic(a),
+                         SolverConfig(method=method, **settings), z0)
+        assert trace.stop_reason == reason
+        assert len(trace) == records
 
     def test_traces_are_deterministic(self, small_instance):
         from phasediversity.experiments import initial_guess
