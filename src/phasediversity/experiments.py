@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (atomic_open, format_floats, key_value_lines, load_field,
-                     parse_bool, parse_floats, parse_key_values)
+                     parse_bool, parse_floats, parse_key_values,
+                     require_same_shape)
 from .forward import DEFOCUS, DiversityPlan
 from .hessian import (
     clustering_comparison,
@@ -80,6 +81,7 @@ __all__ = [
 ]
 
 COMPARE_METHODS = ("SD", "NCG", "LBFGS", "TN")
+_RMS_TARGET = 1e-3  # compare-models counts iterations to reach this RMS
 
 
 class ConfigError(ValueError):
@@ -492,7 +494,7 @@ def iterations_to_rms(trace: RunTrace, threshold: float):
 
 
 def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
-                       out_dir, rms_target: float = 1e-3):
+                       out_dir):
     """MLP/LS/LSI under the configured solver with shared restart seeds.
 
     Each model's per-restart summary rows are kept under ``restarts``; a
@@ -512,7 +514,7 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
             for rec in trace.records:
                 series_lines.append(f"{model},{row['restart']},{rec.iteration},"
                                     f"{rec.rms:.17g},{rec.f_value:.17g}")
-            reached.append(iterations_to_rms(trace, rms_target))
+            reached.append(iterations_to_rms(trace, _RMS_TARGET))
         per_model[model] = {
             "iterations_to_target": reached,
             "n_reached": sum(1 for r in reached if r is not None),
@@ -522,7 +524,7 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
         fh.write(key_value_lines(flat, "# "))
         fh.write("model,restart,iter,rms,f\n")
         fh.write("\n".join(series_lines) + "\n")
-    payload = {"config": flat, "rms_target": rms_target,
+    payload = {"config": flat, "rms_target": _RMS_TARGET,
                "models": per_model}
     _write_json(out / "compare_models.json", payload)
     return payload
@@ -530,42 +532,44 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
 
 def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
                         point: str, out_dir):
-    """Closed-form vs dense spectra and the clustering report at one point."""
-    instance, out, flat = _prepare(config, instance, out_dir)
-    if point == "truth":
-        u = instance.truth
-    elif point == "random":
-        u = initial_guess(instance.grid.mask, config.solver.seed)
-    else:
-        p = Path(point)
-        if not p.exists():
-            raise ConfigError(f"analysis point file not found: {p}")
-        u = load_field(p)
-    planes = []
+    """Closed-form vs dense spectra and the clustering report at one point.
+
+    A bad point or an instance too large for the dense plane matrices is a
+    ConfigError raised before the output directory exists."""
     try:
-        for plane, intensity in zip(instance.plan, instance.data.intensities):
-            U = plane_matrix(plane, instance.grid)
-            models = {}
-            for model in MODELS:
-                report = closed_form_spectrum(model, u, plane, instance.grid,
-                                              intensity, config.epsilon)
-                r, c = hessian_diagonals(model, u, plane, instance.grid,
-                                         intensity, config.epsilon)
-                dense = np.sort(np.linalg.eigvalsh(dense_hessian(r, c, U)))
-                entry = report.to_dict()
-                entry["dense_max_deviation"] = float(
-                    np.abs(report.eigenvalues - dense).max())
-                models[model] = entry
-            clustering = clustering_comparison(u, plane, instance.grid,
-                                               intensity, config.epsilon)
-            planes.append({
-                "plane": plane.kind if plane.kind != DEFOCUS
-                else f"defocus {format_floats([plane.defocus_waves])}",
-                "models": models,
-                "clustering": asdict(clustering),
-            })
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        if point == "truth":
+            u = instance.truth
+        elif point == "random":
+            u = initial_guess(instance.grid.mask, config.solver.seed)
+        else:
+            u = load_field(point)
+        require_same_shape(u, instance.grid.mask)
+        matrices = [plane_matrix(plane, instance.grid) for plane in instance.plan]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot analyze at point {point}: {exc}") from exc
+    instance, out, flat = _prepare(config, instance, out_dir)
+    planes = []
+    for plane, intensity, U in zip(instance.plan, instance.data.intensities,
+                                   matrices):
+        models = {}
+        for model in MODELS:
+            report = closed_form_spectrum(model, u, plane, instance.grid,
+                                          intensity, config.epsilon)
+            r, c = hessian_diagonals(model, u, plane, instance.grid,
+                                     intensity, config.epsilon)
+            dense = np.sort(np.linalg.eigvalsh(dense_hessian(r, c, U)))
+            entry = report.to_dict()
+            entry["dense_max_deviation"] = float(
+                np.abs(report.eigenvalues - dense).max())
+            models[model] = entry
+        clustering = clustering_comparison(u, plane, instance.grid,
+                                           intensity, config.epsilon)
+        planes.append({
+            "plane": plane.kind if plane.kind != DEFOCUS
+            else f"defocus {format_floats([plane.defocus_waves])}",
+            "models": models,
+            "clustering": asdict(clustering),
+        })
     payload = {"config": flat, "point": str(point),
                "planes": planes}
     _write_json(out / "hessian_analysis.json", payload)

@@ -207,8 +207,7 @@ def diversity_adjoint(v: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
     return np.multiply(conj, w, out=w)
 
 
-def predict_intensity(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
-                      counter: TransformCounter | None = None) -> np.ndarray:
+def predict_intensity(u: np.ndarray, plane: PlaneSpec,
+                      grid: PupilGrid) -> np.ndarray:
     """Predicted intensity |F_plane(u)|^2 on the measurement plane."""
-    w = diversity_forward(u, plane, grid, counter=counter)
-    return np.abs(w) ** 2
+    return np.abs(diversity_forward(u, plane, grid)) ** 2

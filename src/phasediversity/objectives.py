@@ -149,9 +149,9 @@ class DataMisfit:
     array that later evaluations leave alone.
     """
 
-    def __init__(self, spec: ObjectiveSpec, counter: TransformCounter | None = None):
+    def __init__(self, spec: ObjectiveSpec):
         self.spec = spec
-        self.counter = counter if counter is not None else TransformCounter()
+        self.counter = TransformCounter()
         self._amplitudes = spec.data.amplitudes
         shape = spec.grid.mask.shape
         self._field = np.empty(shape, dtype=complex)

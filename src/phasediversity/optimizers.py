@@ -7,9 +7,9 @@ accepted step length alpha must satisfy both Wolfe conditions
     f(z + alpha d) <= f(z) + c1 alpha Re(d* g)
     Re(d* g_new)   >= c2 Re(d* g)
 
-with 0 < c1 < c2 < 1.  The search procedure is bracket-and-zoom with
-cubic interpolation, initial trial alpha = 1, expansion factor 2 and a
-hard cap of 50 function/gradient evaluations per search; a trial with a
+with 0 < c1 < c2 < 1.  The search is one bracketing loop with cubic
+interpolation, initial trial alpha = 1, expansion factor 2 and a fixed
+budget of 50 function/gradient evaluations per search; a trial with a
 non-finite value or slope counts as a step too long.
 
 Methods, all run by :func:`solve` and selected by ``SolverConfig.method``:
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 METHODS = ("SD", "NCG", "LBFGS", "TN", "MISELL")
+_MAX_EVALS = 50  # function/gradient evaluations per line search
 
 
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
@@ -149,10 +150,10 @@ class RunTrace:
     def iterations(self) -> int:
         return self.records[-1].iteration if self.records else 0
 
-    def to_csv(self, path, header: dict | None = None) -> None:
-        """Write the trace; optional header entries become '# key = value' lines."""
+    def to_csv(self, path, header: dict) -> None:
+        """Write the trace; header entries become '# key = value' lines."""
         with atomic_open(path) as fh:
-            fh.write(key_value_lines(header or {}, "# "))
+            fh.write(key_value_lines(header, "# "))
             fh.write(_TRACE_HEADER + "\n")
             for r in self.records:
                 fh.write(",".join(format(value, spec) for value, (_, spec, _)
@@ -211,9 +212,8 @@ def _cubic_minimizer(a, fa, da, b, fb, db):
 
 
 def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
-                      g: np.ndarray, f0: float | None = None,
-                      c1: float = 1e-4, c2: float = 0.9,
-                      max_evals: int = 50) -> LineSearchResult:
+                      g: np.ndarray, f0: float, c1: float = 1e-4,
+                      c2: float = 0.9) -> LineSearchResult:
     """Find a step length satisfying both Wolfe conditions along ``d``.
 
     Accepted steps satisfy the strong form |Re(d* g_new)| <= -c2 Re(d* g),
@@ -221,17 +221,17 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
     the strong form keeps near-exact minimizers on quadratic slices, which
     conjugate-gradient directions rely on.
 
-    ``f_and_grad`` maps a point to (value, gradient).  ``g`` is the
-    gradient at ``z``; ``f0`` the value at ``z`` (evaluated if omitted).
-    A trial step whose value or directional derivative is not finite is
-    treated as too long and shrinks the bracket (More & Thuente 1994).
-    Raises ValueError for a non-finite start point or a non-descent
-    direction and LineSearchError when the evaluation budget is exhausted.
+    ``f_and_grad`` maps a point to (value, gradient); ``f0`` and ``g`` are
+    the value and gradient at ``z``.  One loop narrows the bracket
+    [lo, hi], with hi = inf until a trial is too long or the slope turns:
+    the trials are 1, 2 lo, ... while hi = inf, then the safeguarded cubic
+    minimizer on [lo, hi].  A trial is too long if its value or directional
+    derivative is not finite (More & Thuente 1994), if it fails sufficient
+    decrease, or if, after the first trial, it is no lower than lo.  Raises
+    ValueError for a non-finite start point or a non-descent direction and
+    LineSearchError when 50 evaluations find no Wolfe point or the bracket
+    collapses.
     """
-    evals = 0
-    if f0 is None:
-        f0, g = f_and_grad(z)
-        evals += 1
     if not (math.isfinite(f0) and np.isfinite(g).all()):
         raise ValueError("wolfe_line_search needs a finite value and gradient "
                          "at the start point")
@@ -239,51 +239,31 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
     if not dphi0 < 0.0:
         raise ValueError("wolfe_line_search requires a descent direction (Re(d*g) < 0)")
 
-    def evaluate(alpha):
-        nonlocal evals
+    lo, f_lo, d_lo = 0.0, f0, dphi0
+    hi = f_hi = d_hi = math.inf
+    for evals in range(1, _MAX_EVALS + 1):
+        if math.isinf(hi):
+            alpha = 1.0 if evals == 1 else 2.0 * lo
+        else:
+            width = abs(hi - lo)
+            if width <= 1e-18 * max(1.0, abs(lo)):
+                break
+            alpha = _cubic_minimizer(lo, f_lo, d_lo, hi, f_hi, d_hi)
+            if alpha is None or not (min(lo, hi) + 0.1 * width <= alpha
+                                     <= max(lo, hi) - 0.1 * width):
+                alpha = 0.5 * (lo + hi)
         z_a = z + alpha * d
         f_a, g_a = f_and_grad(z_a)
-        evals += 1
-        return z_a, f_a, g_a, _redot(d, g_a)
-
-    def too_long(alpha, f_a, dphi_a, f_ref):
-        return (not (math.isfinite(f_a) and math.isfinite(dphi_a))
-                or f_a > f0 + c1 * alpha * dphi0 or f_a >= f_ref)
-
-    def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
-        while evals < max_evals:
-            width = hi - lo
-            if abs(width) <= 1e-18 * max(1.0, abs(lo)):
-                break
-            cand = _cubic_minimizer(lo, f_lo, d_lo, hi, f_hi, d_hi)
-            lo_m = min(lo, hi) + 0.1 * abs(width)
-            hi_m = max(lo, hi) - 0.1 * abs(width)
-            if cand is None or not (lo_m <= cand <= hi_m):
-                cand = 0.5 * (lo + hi)
-            z_j, f_j, g_j, dphi_j = evaluate(cand)
-            if too_long(cand, f_j, dphi_j, f_lo):
-                hi, f_hi, d_hi = cand, f_j, dphi_j
-            else:
-                if abs(dphi_j) <= -c2 * dphi0:
-                    return LineSearchResult(cand, z_j, f_j, g_j, evals)
-                if dphi_j * (hi - lo) >= 0.0:
-                    hi, f_hi, d_hi = lo, f_lo, d_lo
-                lo, f_lo, d_lo = cand, f_j, dphi_j
-        raise LineSearchError("line search exhausted its evaluation budget")
-
-    alpha_prev, f_prev, dphi_prev = 0.0, f0, dphi0
-    alpha = 1.0
-    while evals < max_evals:
-        z_a, f_a, g_a, dphi_a = evaluate(alpha)
-        f_ref = math.inf if alpha_prev == 0.0 else f_prev
-        if too_long(alpha, f_a, dphi_a, f_ref):
-            return zoom(alpha_prev, f_prev, dphi_prev, alpha, f_a, dphi_a)
-        if abs(dphi_a) <= -c2 * dphi0:
+        dphi_a = _redot(d, g_a)
+        if (not (math.isfinite(f_a) and math.isfinite(dphi_a))
+                or f_a > f0 + c1 * alpha * dphi0 or (evals > 1 and f_a >= f_lo)):
+            hi, f_hi, d_hi = alpha, f_a, dphi_a
+        elif abs(dphi_a) <= -c2 * dphi0:
             return LineSearchResult(alpha, z_a, f_a, g_a, evals)
-        if dphi_a >= 0.0:
-            return zoom(alpha, f_a, dphi_a, alpha_prev, f_prev, dphi_prev)
-        alpha_prev, f_prev, dphi_prev = alpha, f_a, dphi_a
-        alpha *= 2.0
+        else:  # with hi = inf, a turned slope closes the bracket at lo
+            if dphi_a * (hi - lo) >= 0.0:
+                hi, f_hi, d_hi = lo, f_lo, d_lo
+            lo, f_lo, d_lo = alpha, f_a, dphi_a
     raise LineSearchError("line search exhausted its evaluation budget")
 
 
@@ -491,8 +471,7 @@ def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
 
 def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
                    grid: PupilGrid, iters: int,
-                   truth: np.ndarray | None = None,
-                   counter: TransformCounter | None = None):
+                   truth: np.ndarray | None = None):
     """Cyclic modulus projections over all planes (one sweep per iteration).
 
     For each plane in order: transform, replace the modulus by the
@@ -503,7 +482,7 @@ def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
     """
     if len(plan) < 2:
         raise ValueError("the projection baseline needs at least two planes")
-    counter = counter if counter is not None else TransformCounter()
+    counter = TransformCounter()
     u = np.array(u0, dtype=complex)
     amplitudes = data.amplitudes
     trace = RunTrace(method="MISELL")

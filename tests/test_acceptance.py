@@ -13,11 +13,7 @@ import pytest
 
 import phasediversity.optimizers as opt
 from phasediversity.experiments import _projection_planes, initial_guess
-from phasediversity.forward import (
-    DiversityPlan,
-    TransformCounter,
-    diversity_forward,
-)
+from phasediversity.forward import DiversityPlan, diversity_forward
 from phasediversity.hessian import (
     clustering_comparison,
     closed_form_spectrum,
@@ -62,8 +58,8 @@ def methods_batch(bench32):
     real_search = opt.wolfe_line_search
     real_push = opt.LbfgsMemory.push
 
-    def recording_search(fg, z, d, g, f0=None, c1=1e-4, c2=0.9, max_evals=50):
-        res = real_search(fg, z, d, g, f0=f0, c1=c1, c2=c2, max_evals=max_evals)
+    def recording_search(fg, z, d, g, f0, c1=1e-4, c2=0.9):
+        res = real_search(fg, z, d, g, f0=f0, c1=c1, c2=c2)
         dphi0 = float(np.real(np.vdot(d, g)))
         dphi_new = float(np.real(np.vdot(d, res.g_new)))
         wolfe_steps.append((f0, dphi0, res.alpha, res.f_new, dphi_new, c1, c2))
@@ -84,7 +80,7 @@ def methods_batch(bench32):
         for method in ("SD", "NCG", "LBFGS", "TN"):
             traces = []
             for s in range(10):
-                obj = DataMisfit(spec, TransformCounter())
+                obj = DataMisfit(spec)
                 _, trace = solve(obj, SolverConfig(method=method, seed=s),
                                  initial_guess(bench32.grid.mask, s),
                                  truth=bench32.truth)
@@ -106,7 +102,7 @@ def models_batch(bench32):
         spec = spec_for(bench32, model)
         traces = []
         for s in range(10):
-            obj = DataMisfit(spec, TransformCounter())
+            obj = DataMisfit(spec)
             _, trace = solve(obj, SolverConfig(seed=s),
                              initial_guess(bench32.grid.mask, s),
                              truth=bench32.truth)
@@ -124,7 +120,7 @@ def noisy_batches(bench32):
         for s in range(10):
             noisy = add_poisson_noise(bench32.data, snr=snr, seed=1000 + s)
             spec = ObjectiveSpec("LS", 1e-14, bench32.plan, noisy, bench32.grid)
-            obj = DataMisfit(spec, TransformCounter())
+            obj = DataMisfit(spec)
             _, trace = solve(obj, SolverConfig(seed=s),
                              initial_guess(bench32.grid.mask, s),
                              truth=bench32.truth)

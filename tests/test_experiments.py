@@ -591,6 +591,26 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "hx" / "hessian_analysis.json").exists()
 
+    @pytest.mark.parametrize("case", ["not_npy", "wrong_shape", "too_large"])
+    def test_analyze_hessian_bad_input_exits_2_before_any_output(
+            self, tmp_path, capsys, case):
+        # a text file as the point, a point of the wrong shape, and an
+        # instance above the dense-assembly size limit
+        inst_dir = tmp_path / "inst"
+        n = 16 if case == "too_large" else 8
+        assert main(["simulate", "--set", f"problem.n={n}",
+                     "--out", str(inst_dir)]) == 0
+        point = {"not_npy": str(inst_dir / "config.txt"),
+                 "wrong_shape": str(tmp_path / "small.npy"),
+                 "too_large": "truth"}[case]
+        np.save(tmp_path / "small.npy", np.ones((4, 4), dtype=complex))
+        capsys.readouterr()
+        out = tmp_path / "hx"
+        assert main(["analyze-hessian", "--instance", str(inst_dir),
+                     "--point", point, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "compare-methods",
                                          "compare-models"])
     @pytest.mark.parametrize("setting", ["objective.epsilon=0",

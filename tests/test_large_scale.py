@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from phasediversity.experiments import initial_guess
-from phasediversity.forward import TransformCounter
 from phasediversity.objectives import DataMisfit, ObjectiveSpec
 from phasediversity.optimizers import SolverConfig, solve
 from phasediversity.problems import build_problem
@@ -27,7 +26,7 @@ def test_lbfgs_recovers_at_full_grid(ptype, target_rms):
     spec = ObjectiveSpec("LS", 1e-14, inst.plan, inst.data, inst.grid)
     recovered = 0
     for s in range(2):
-        obj = DataMisfit(spec, TransformCounter())
+        obj = DataMisfit(spec)
         _, trace = solve(obj, SolverConfig(seed=s),
                          initial_guess(inst.grid.mask, s), truth=inst.truth)
         recovered += trace.records[-1].rms < 1e-5

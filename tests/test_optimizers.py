@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasediversity.forward import DiversityPlan, TransformCounter
+from phasediversity.forward import DiversityPlan
 from phasediversity.objectives import DataMisfit, MeasurementSet, ObjectiveSpec
 from phasediversity.optimizers import (
     FunctionObjective,
@@ -36,6 +36,48 @@ def general_quadratic(L, b):
         r = L @ z - b
         return float(np.real(np.vdot(r, r))), 2.0 * (L.conj().T @ r)
     return FunctionObjective(fg, hvp=lambda z, h: 2.0 * (L.conj().T @ (L @ h)))
+
+
+def quartic(zv):
+    """f(z) = (|z|^2 - 1)^2 + |z - 1|^2 on one complex variable."""
+    z = complex(zv[0])
+    f = (abs(z) ** 2 - 1) ** 2 + abs(z - 1) ** 2
+    g = 2 * (abs(z) ** 2 - 1) * z + (z - 1)
+    return f, np.array([g])
+
+
+def undefined_past_0_6(z):
+    """f = |z - 1|^2, undefined (NaN value and gradient) for Re z > 0.6."""
+    if z[0].real > 0.6:
+        return float("nan"), np.full_like(z, np.nan)
+    r = z - 1.0
+    return float(np.real(np.vdot(r, r))), 2.0 * r
+
+
+_C = np.array([1.0 + 1.0j])
+
+# (objective, start, leading trial steps, trial count, accepted step or
+# None for LineSearchError); the search runs along -g from the start.
+TRIAL_SEQUENCES = {
+    "shifted_quadratic": (
+        shifted_quadratic(np.array([1.0 + 2.0j, -0.5])).value_and_gradient,
+        np.zeros(2, complex), [1.0, 0.5], 2, 0.5),
+    "minimum_at_40": (
+        lambda z: (float(np.real(np.vdot(z - 40, z - 40))) / 100,
+                   (z - 40) / 50),
+        np.zeros(1, complex), [1.0, 2.0, 4.0, 8.0], 4, 8.0),
+    "quartic": (quartic, np.array([2j]),
+                [1.0, 0.5, 0.07116156694451325], 3, 0.07116156694451325),
+    "nan_region": (undefined_past_0_6, np.zeros(1, complex),
+                   [1.0, 0.5, 0.25], 3, 0.25),
+    # the curvature condition never holds: the step doubles to the budget
+    "constant_gradient": (
+        lambda z: (float(2 * np.real(np.vdot(_C, z))), 2 * _C.copy()),
+        np.zeros(1, complex), [2.0 ** k for k in range(50)], 50, None),
+    # f(z + alpha d) >= f(z) for every step: the bracket collapses onto 1
+    "flat": (lambda z: (1e6, np.full_like(z, 1e-10)), np.zeros(1, complex),
+             [1.0, 2.0, 1.2113248654051871], 26, None),
+}
 
 
 class TestWolfeLineSearch:
@@ -84,12 +126,7 @@ class TestWolfeLineSearch:
         # Oracle: scan alpha in (0, 4] at 1e-4 resolution, find the first
         # interval where both Wolfe inequalities hold, and require the
         # returned step to land inside it.
-        def fg(zv):
-            z = complex(zv[0])
-            f = (abs(z) ** 2 - 1) ** 2 + abs(z - 1) ** 2
-            g = 2 * (abs(z) ** 2 - 1) * z + (z - 1)
-            return f, np.array([g])
-
+        fg = quartic
         c1, c2 = 1e-4, 0.9
         z = np.array([2j])
         f0, g0 = fg(z)
@@ -113,14 +150,9 @@ class TestWolfeLineSearch:
         assert lo - 1e-4 <= res.alpha <= hi + 1e-4
 
     def test_non_finite_trial_shrinks_the_step(self):
-        # f = |z - 1|^2 is undefined (NaN) for Re z > 0.6: the unit step
-        # and the bisected 0.5 land there, the next bisection does not.
-        def fg(z):
-            if z[0].real > 0.6:
-                return float("nan"), np.full_like(z, np.nan)
-            r = z - 1.0
-            return float(np.real(np.vdot(r, r))), 2.0 * r
-
+        # The unit step and the bisected 0.5 land in the NaN region, the
+        # next bisection does not.
+        fg = undefined_past_0_6
         z = np.zeros(1, dtype=complex)
         f0, g = fg(z)
         res = wolfe_line_search(fg, z, -g, g, f0=f0)
@@ -136,6 +168,29 @@ class TestWolfeLineSearch:
         with pytest.raises(ValueError, match="finite"):
             wolfe_line_search(lambda z: (0.0, z), np.zeros(1, complex),
                               np.array([-1.0 + 0j]), g, f0=f0)
+
+
+    @pytest.mark.parametrize("case", list(TRIAL_SEQUENCES))
+    def test_trial_sequence(self, case):
+        fg, z, head, count, accepted = TRIAL_SEQUENCES[case]
+        points = []
+
+        def recording(x):
+            points.append(x.copy())
+            return fg(x)
+
+        f0, g = fg(z)
+        d = -g
+        if accepted is None:
+            with pytest.raises(LineSearchError):
+                wolfe_line_search(recording, z, d, g, f0=f0)
+        else:
+            res = wolfe_line_search(recording, z, d, g, f0=f0)
+            assert res.alpha == pytest.approx(accepted, rel=1e-12)
+            assert res.evaluations == count
+        trials = [float(((p - z) / d)[0].real) for p in points]
+        assert len(trials) == count
+        assert trials[:len(head)] == pytest.approx(head, rel=1e-12)
 
 
 class TestSteepestDescent:
@@ -212,7 +267,7 @@ class TestNcg:
         z0 = initial_guess(bench32.grid.mask, 1)
         iters = {}
         for method in ("NCG", "SD"):
-            obj = DataMisfit(spec, TransformCounter())
+            obj = DataMisfit(spec)
             _, trace = solve(obj, SolverConfig(method=method), z0)
             gap = trace.f_values - floor
             hit = np.where(gap <= 1e-8 * gap[0])[0]
@@ -294,7 +349,7 @@ class TestLbfgs:
 
         spec = ObjectiveSpec("LS", 1e-14, small_instance.plan,
                              small_instance.data, small_instance.grid)
-        obj = DataMisfit(spec, TransformCounter())
+        obj = DataMisfit(spec)
         z0 = initial_guess(small_instance.grid.mask, 0)
         _, trace = solve(obj, SolverConfig(method="LBFGS", max_iters=60), z0)
         assert trace.records[-1].grad_norm <= trace.records[0].grad_norm
@@ -323,7 +378,7 @@ class TestTruncatedNewton:
 
         inst = build_problem("vonkarman", 32, seed=3)
         spec = ObjectiveSpec("LS", 1e-14, inst.plan, inst.data, inst.grid)
-        obj = DataMisfit(spec, TransformCounter())
+        obj = DataMisfit(spec)
         z0 = initial_guess(inst.grid.mask, 0)
         _, trace = solve(obj, SolverConfig(method="TN"), z0, truth=inst.truth)
         steps = trace.records[1:]
@@ -406,7 +461,7 @@ class TestSolverInfrastructure:
         for method in ("SD", "NCG", "LBFGS", "TN"):
             runs = []
             for _ in range(2):
-                obj = DataMisfit(spec, TransformCounter())
+                obj = DataMisfit(spec)
                 _, trace = solve(obj, SolverConfig(method=method, max_iters=25),
                                  z0, truth=small_instance.truth)
                 runs.append(np.array(
@@ -422,7 +477,7 @@ class TestSolverInfrastructure:
                              small_instance.data, small_instance.grid)
         z0 = initial_guess(small_instance.grid.mask, 4)
         for method in ("SD", "NCG", "LBFGS", "TN"):
-            obj = DataMisfit(spec, TransformCounter())
+            obj = DataMisfit(spec)
             _, trace = solve(obj, SolverConfig(method=method, max_iters=40), z0)
             f = trace.f_values
             assert np.all(np.diff(f) <= 1e-12 * np.maximum(1.0, np.abs(f[:-1])))
@@ -432,7 +487,7 @@ class TestSolverInfrastructure:
 
         spec = ObjectiveSpec("LS", 1e-14, small_instance.plan,
                              small_instance.data, small_instance.grid)
-        obj = DataMisfit(spec, TransformCounter())
+        obj = DataMisfit(spec)
         _, trace = solve(obj, SolverConfig(max_iters=20),
                          initial_guess(small_instance.grid.mask, 5))
         calls = [r.fft_calls for r in trace.records]

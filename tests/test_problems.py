@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from phasediversity.forward import PupilGrid, TransformCounter
+from phasediversity.forward import PupilGrid
 from phasediversity.objectives import DataMisfit, ObjectiveSpec
 from phasediversity.optimizers import SolverConfig, solve
 from phasediversity.problems import (
@@ -242,7 +242,7 @@ class TestMorozov:
         for s in range(10):
             noisy = add_poisson_noise(bench32.data, snr=10.0, seed=500 + s)
             spec = ObjectiveSpec("LS", 1e-14, bench32.plan, noisy, bench32.grid)
-            obj = DataMisfit(spec, TransformCounter())
+            obj = DataMisfit(spec)
             _, trace = solve(obj, SolverConfig(seed=s),
                              initial_guess(bench32.grid.mask, s),
                              truth=bench32.truth)
