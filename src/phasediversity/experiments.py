@@ -251,12 +251,10 @@ def initial_guess(mask: np.ndarray, seed: int) -> np.ndarray:
 
 def build_instance(config: ExperimentConfig) -> ProblemInstance:
     try:
-        return build_problem(config.problem_type, config.n,
-                             seed=config.problem_seed,
-                             defocus=config.defocus,
-                             amplitude_plane=config.amplitude_plane,
-                             snr=config.snr, noise_seed=config.noise_seed,
-                             **config.problem_params)
+        return reconcile_noise(config, build_problem(
+            config.problem_type, config.n, seed=config.problem_seed,
+            defocus=config.defocus, amplitude_plane=config.amplitude_plane,
+            **config.problem_params))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -284,22 +282,11 @@ def _projection_planes(instance: ProblemInstance):
 
 def reconcile_noise(config: ExperimentConfig,
                     instance: ProblemInstance) -> ProblemInstance:
-    """Apply configured noise to a clean instance; reject contradictions.
-
-    Instances created by ``simulate`` with noise already carry noisy
-    data, so noise is applied at most once.  A solve config requesting
-    different noise than the instance was built with is an error, not a
-    silent override.
-    """
-    if instance.noise is not None:
-        if config.snr is not None and (instance.noise["snr"] != config.snr
-                                       or instance.noise["seed"] != config.noise_seed):
-            raise ConfigError(
-                f"instance carries noise snr={instance.noise['snr']} "
-                f"seed={instance.noise['seed']} but the config requests "
-                f"snr={config.snr} seed={config.noise_seed}")
-        return instance
-    if config.snr is None:
+    """``instance`` with the config's photon noise added to its data, the
+    one place noise is drawn.  Unchanged if the config sets no
+    ``noise.snr`` or the data already carry noise (``noise.snr`` in the
+    meta); ``_prepare`` checks that the config agrees with the instance."""
+    if config.snr is None or "noise.snr" in instance.meta:
         return instance
     return replace(instance,
                    data=add_poisson_noise(instance.data, config.snr, config.noise_seed),
@@ -308,18 +295,17 @@ def reconcile_noise(config: ExperimentConfig,
 
 
 # flat-key prefixes that describe the instance; artifacts read them from its meta
-_INSTANCE = ("problem.", "plan.")
+_INSTANCE = ("problem.", "plan.", "noise.")
 
 
 def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
-    """Runner prologue, run once per batch: the noise-reconciled instance,
-    the created output directory and the resolved config for embedding.
+    """Runner prologue, run once per batch: the instance with the config's
+    noise added, the created output directory and the config to embed.
 
     A bad value (noise, epsilon, a plan the method cannot use) is a
     ConfigError raised before the output directory exists.  The embedded
-    config records the instance's own problem, plan and noise keys; a
-    ``problem.*`` / ``plan.*`` key the config sets itself must agree with
-    the instance.
+    config takes its ``problem.*``, ``plan.*`` and ``noise.*`` keys from
+    the instance, and any of them the config sets itself must agree.
     """
     try:
         instance = reconcile_noise(config, instance)
@@ -331,7 +317,7 @@ def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     wants = config.to_flat()
     own = {k: str(v) for k, v in wants.items() if not k.startswith(_INSTANCE)}
     meta = {k: str(v) for k, v in instance.meta.items()
-            if k.startswith((*_INSTANCE, "noise."))}
+            if k.startswith(_INSTANCE)}
     flat = config_from_mapping({**own, **meta}).to_flat()
     for key in sorted(config.given):
         if key.startswith(_INSTANCE) and flat.get(key) != wants[key]:

@@ -127,8 +127,8 @@ class TransformCounter:
 
     count: int = 0
 
-    def add(self, k: int = 1) -> None:
-        self.count += k
+    def add(self) -> None:
+        self.count += 1
 
 
 def unitary_dft2(f: np.ndarray, inverse: bool = False,

@@ -92,6 +92,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.tn_cg_max is not None and self.tn_cg_max < 1:
             raise ValueError("tn_cg_max must be >= 1 or none")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class TraceRecord(NamedTuple):
@@ -229,8 +231,8 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
     derivative is not finite (More & Thuente 1994), if it fails sufficient
     decrease, or if, after the first trial, it is no lower than lo.  Raises
     ValueError for a non-finite start point or a non-descent direction and
-    LineSearchError when 50 evaluations find no Wolfe point or the bracket
-    collapses.
+    LineSearchError, saying which, when the bracket collapses or 50
+    evaluations find no Wolfe point.
     """
     if not (math.isfinite(f0) and np.isfinite(g).all()):
         raise ValueError("wolfe_line_search needs a finite value and gradient "
@@ -247,7 +249,8 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
         else:
             width = abs(hi - lo)
             if width <= 1e-18 * max(1.0, abs(lo)):
-                break
+                raise LineSearchError(f"line search bracket collapsed after "
+                                      f"{evals - 1} evaluations")
             alpha = _cubic_minimizer(lo, f_lo, d_lo, hi, f_hi, d_hi)
             if alpha is None or not (min(lo, hi) + 0.1 * width <= alpha
                                      <= max(lo, hi) - 0.1 * width):
@@ -264,7 +267,8 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
             if dphi_a * (hi - lo) >= 0.0:
                 hi, f_hi, d_hi = lo, f_lo, d_lo
             lo, f_lo, d_lo = alpha, f_a, dphi_a
-    raise LineSearchError("line search exhausted its evaluation budget")
+    raise LineSearchError(f"line search exhausted its evaluation budget "
+                          f"of {_MAX_EVALS}")
 
 
 def hestenes_stiefel_beta(g: np.ndarray, g_prev: np.ndarray,

@@ -301,14 +301,6 @@ class ProblemInstance:
     data: MeasurementSet
     meta: dict = field(default_factory=dict)
 
-    @property
-    def noise(self) -> dict | None:
-        """``{"snr", "seed"}`` of the data's photon noise from ``meta``, or None."""
-        if "noise.snr" not in self.meta:
-            return None
-        return {"snr": float(self.meta["noise.snr"]),
-                "seed": int(self.meta["noise.seed"])}
-
 
 # Pupil radii below 0.5 oversample the diffraction images, which keeps the
 # benchmark problems well conditioned at desk-scale grids.
@@ -324,9 +316,8 @@ PROBLEM_DEFAULTS = {
 
 def build_problem(ptype: str, n: int, seed: int = 0,
                   defocus=(-3.0, 3.0), amplitude_plane: bool = True,
-                  snr: float | None = None, noise_seed: int = 0,
                   **params) -> ProblemInstance:
-    """Construct a pupil, ground-truth wavefront and (optionally noisy) data.
+    """Construct a pupil, ground-truth wavefront and its noiseless data.
 
     ``ptype`` is ``zernike`` (annulus pupil, single basis mode),
     ``vonkarman`` (disc pupil, turbulence screen) or ``segmented``
@@ -364,10 +355,6 @@ def build_problem(ptype: str, n: int, seed: int = 0,
     meta.update({f"problem.{k}": v for k, v in sorted(opts.items())})
     meta["plan.defocus"] = format_floats(defocus)
     meta["plan.amplitude_plane"] = amplitude_plane
-    if snr is not None:
-        data = add_poisson_noise(data, snr, noise_seed)
-        meta["noise.snr"] = float(snr)
-        meta["noise.seed"] = int(noise_seed)
     return ProblemInstance(grid, truth, plan, data, meta)
 
 

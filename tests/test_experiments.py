@@ -458,6 +458,27 @@ class TestCompareRunners:
                          if e["method"] == "LBFGS")
             assert lbfgs["success_rate"] >= 0.7
 
+    @pytest.mark.parametrize("setting, code", [
+        ("noise.seed=4", 2), ("noise.snr=none", 2), ("noise.snr=20", 0),
+        ("noise.snr=10", 2)])
+    def test_noise_keys_must_agree_with_noisy_instance(self, tmp_path, capsys,
+                                                       setting, code):
+        inst_dir = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.n=8", "--set", "noise.snr=20",
+                     "--set", "noise.seed=3", "--out", str(inst_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["solve", "--instance", str(inst_dir), "--set", setting,
+                     "--set", "restarts=1", "--set", "solver.max_iters=3",
+                     "--out", str(out)]) == code
+        if code:
+            assert "config error: instance has noise." in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["config"]["noise.snr"] == 20.0
+            assert summary["config"]["noise.seed"] == 3
+
     def test_iterations_to_rms(self):
         trace = RunTrace()
         from phasediversity.optimizers import TraceRecord
@@ -617,7 +638,8 @@ class TestCli:
                                          "objective.epsilon=-1",
                                          "noise.snr=0", "noise.snr=-1",
                                          "solver.tn_cg_max=0",
-                                         "solver.tn_cg_max=-1"])
+                                         "solver.tn_cg_max=-1",
+                                         "solver.seed=-1"])
     def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys,
                                                  command, setting):
         inst_dir = tmp_path / "inst"

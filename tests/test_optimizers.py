@@ -57,7 +57,7 @@ def undefined_past_0_6(z):
 _C = np.array([1.0 + 1.0j])
 
 # (objective, start, leading trial steps, trial count, accepted step or
-# None for LineSearchError); the search runs along -g from the start.
+# the LineSearchError message); the search runs along -g from the start.
 TRIAL_SEQUENCES = {
     "shifted_quadratic": (
         shifted_quadratic(np.array([1.0 + 2.0j, -0.5])).value_and_gradient,
@@ -73,10 +73,11 @@ TRIAL_SEQUENCES = {
     # the curvature condition never holds: the step doubles to the budget
     "constant_gradient": (
         lambda z: (float(2 * np.real(np.vdot(_C, z))), 2 * _C.copy()),
-        np.zeros(1, complex), [2.0 ** k for k in range(50)], 50, None),
+        np.zeros(1, complex), [2.0 ** k for k in range(50)], 50,
+        "budget of 50"),
     # f(z + alpha d) >= f(z) for every step: the bracket collapses onto 1
     "flat": (lambda z: (1e6, np.full_like(z, 1e-10)), np.zeros(1, complex),
-             [1.0, 2.0, 1.2113248654051871], 26, None),
+             [1.0, 2.0, 1.2113248654051871], 26, "collapsed after 26 "),
 }
 
 
@@ -181,8 +182,8 @@ class TestWolfeLineSearch:
 
         f0, g = fg(z)
         d = -g
-        if accepted is None:
-            with pytest.raises(LineSearchError):
+        if isinstance(accepted, str):
+            with pytest.raises(LineSearchError, match=accepted):
                 wolfe_line_search(recording, z, d, g, f0=f0)
         else:
             res = wolfe_line_search(recording, z, d, g, f0=f0)
