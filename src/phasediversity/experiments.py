@@ -129,6 +129,11 @@ class ExperimentConfig:
                               f"got {self.model!r}")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
+        if self.noise_seed < 0:
+            raise ConfigError(f"noise.seed must be >= 0, got {self.noise_seed}")
+        if not (np.isfinite(self.morozov_tau) and self.morozov_tau > 0):
+            raise ConfigError("morozov.tau must be a finite number > 0, "
+                              f"got {self.morozov_tau}")
         known = set(PROBLEM_DEFAULTS[self.problem_type])
         unknown = set(self.problem_params) - known
         if unknown:

@@ -143,10 +143,13 @@ def unitary_dft2(f: np.ndarray, inverse: bool = False,
     f = np.asarray(f, dtype=complex)
     if counter is not None:
         counter.add()
+    # the shape is passed so numpy skips deriving it through its generic
+    # array wrappers on every call, about a fifth of a transform at n=32;
+    # the passes and bits are those of fft2.  ``np.fft.fftn`` is looked up
+    # per call, not bound at import, so FFT-call counters can patch it
     if inverse:
-        # ifftn, not ifft2: numpy's ifft2 drops ``out`` and allocates
-        return np.fft.ifftn(f, axes=(-2, -1), norm="ortho", out=out)
-    return np.fft.fft2(f, norm="ortho", out=out)
+        return np.fft.ifftn(f, f.shape[-2:], (-2, -1), norm="ortho", out=out)
+    return np.fft.fftn(f, f.shape[-2:], (-2, -1), norm="ortho", out=out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -172,6 +175,33 @@ def defocus_diag(plane: PlaneSpec, grid: PupilGrid) -> np.ndarray:
     return _defocus_phase(grid.n, plane.defocus_waves)[0]
 
 
+def _plane_phases(plane: PlaneSpec, grid: PupilGrid):
+    """The plane's read-only (phase, conjugate) pair, ``None`` for the
+    amplitude plane."""
+    if plane.kind == AMPLITUDE:
+        return None
+    return _defocus_phase(grid.n, plane.defocus_waves)
+
+
+def _forward(u: np.ndarray, phases, counter: TransformCounter | None,
+             out: np.ndarray | None) -> np.ndarray:
+    """Forward operator on a checked complex ``u`` for the plane whose
+    :func:`_plane_phases` are ``phases``."""
+    if phases is None:
+        return u
+    w = np.multiply(phases[0], u, out=out)
+    return unitary_dft2(w, counter=counter, out=w)
+
+
+def _adjoint(v: np.ndarray, phases, counter: TransformCounter | None,
+             out: np.ndarray | None) -> np.ndarray:
+    """Adjoint of :func:`_forward` on a checked complex ``v``."""
+    if phases is None:
+        return v
+    w = unitary_dft2(v, inverse=True, counter=counter, out=out)
+    return np.multiply(phases[1], w, out=w)
+
+
 def diversity_forward(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
                       counter: TransformCounter | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
@@ -183,10 +213,7 @@ def diversity_forward(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
     """
     u = np.asarray(u, dtype=complex)
     require_same_shape(u, grid.mask)
-    if plane.kind == AMPLITUDE:
-        return u
-    w = np.multiply(defocus_diag(plane, grid), u, out=out)
-    return unitary_dft2(w, counter=counter, out=w)
+    return _forward(u, _plane_phases(plane, grid), counter, out)
 
 
 def diversity_adjoint(v: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
@@ -200,11 +227,7 @@ def diversity_adjoint(v: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
     """
     v = np.asarray(v, dtype=complex)
     require_same_shape(v, grid.mask)
-    if plane.kind == AMPLITUDE:
-        return v
-    w = unitary_dft2(v, inverse=True, counter=counter, out=out)
-    conj = _defocus_phase(grid.n, plane.defocus_waves)[1]
-    return np.multiply(conj, w, out=w)
+    return _adjoint(v, _plane_phases(plane, grid), counter, out)
 
 
 def predict_intensity(u: np.ndarray, plane: PlaneSpec,

@@ -33,7 +33,9 @@ from .forward import (
     PlaneSpec,
     PupilGrid,
     TransformCounter,
-    diversity_adjoint,
+    _adjoint,
+    _forward,
+    _plane_phases,
     diversity_forward,
 )
 
@@ -144,6 +146,8 @@ class DataMisfit:
     """Evaluator bundling value, gradient and Hessian action with FFT counting.
 
     Plane terms are accumulated in plan order so results are deterministic.
+    Each plane's defocus phases are looked up once per instance and ``u`` is
+    checked once per call, then the plane operators run on them directly.
     Value and gradient run in work arrays allocated once per instance, so an
     instance serves one caller at a time; the gradient it returns is a fresh
     array that later evaluations leave alone.
@@ -153,6 +157,7 @@ class DataMisfit:
         self.spec = spec
         self.counter = TransformCounter()
         self._amplitudes = spec.data.amplitudes
+        self._phases = [_plane_phases(p, spec.grid) for p in spec.plan]
         shape = spec.grid.mask.shape
         self._field = np.empty(shape, dtype=complex)
         self._work = tuple(np.empty(shape) for _ in range(3))
@@ -161,46 +166,58 @@ class DataMisfit:
     def fft_calls(self) -> int:
         return self.counter.count
 
-    def _evaluate(self, u: np.ndarray, grad: np.ndarray | None) -> float:
-        """Misfit at ``u``; adds each plane's gradient into ``grad`` if given."""
+    def _checked(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=complex)
+        require_same_shape(u, self.spec.grid.mask)
+        return u
+
+    def _evaluate(self, u: np.ndarray, gradient: bool):
+        """Misfit at ``u`` and, if asked for, its gradient (else ``None``)."""
         spec = self.spec
+        u = self._checked(u)
+        grad = np.zeros_like(u) if gradient else None
         total = 0.0
-        for plane, intensity, amplitude in zip(
-                spec.plan, spec.data.intensities, self._amplitudes):
-            Fu = diversity_forward(u, plane, spec.grid, counter=self.counter,
-                                   out=self._field)
+        for phases, intensity, amplitude in zip(
+                self._phases, spec.data.intensities, self._amplitudes):
+            Fu = _forward(u, phases, self.counter, self._field)
             value, w = _plane_terms(spec.model, Fu, intensity, amplitude,
                                     spec.epsilon, self._work)
             total += value
-            if grad is not None:
+            if gradient:
                 v = np.multiply(Fu, w, out=self._field)
-                grad += diversity_adjoint(v, plane, spec.grid,
-                                          counter=self.counter, out=v)
-        return total
+                grad += _adjoint(v, phases, self.counter, v)
+        return total, grad
 
     def value(self, u: np.ndarray) -> float:
-        return self._evaluate(u, None)
+        return self._evaluate(u, False)[0]
 
     def value_and_gradient(self, u: np.ndarray):
-        grad = np.zeros_like(np.asarray(u, dtype=complex))
-        return self._evaluate(u, grad), grad
+        return self._evaluate(u, True)
 
     def hessian_operator(self, u: np.ndarray):
         """Hessian action h -> H h at a fixed ``u`` (real-linear in h); the
         per-plane coefficients cost one transform per plane to build, and
-        each application (one inner CG step) two."""
+        each application (one inner CG step) two.  The work arrays are
+        allocated once per build; each application returns a fresh array."""
         spec = self.spec
-        cached = [(plane, *hessian_diagonals(spec.model, u, plane, spec.grid,
-                                             intensity, spec.epsilon,
-                                             self.counter))
-                  for plane, intensity in zip(spec.plan, spec.data.intensities)]
+        cached = [(phases, *hessian_diagonals(spec.model, u, plane, spec.grid,
+                                              intensity, spec.epsilon,
+                                              self.counter))
+                  for plane, phases, intensity in zip(
+                      spec.plan, self._phases, spec.data.intensities)]
+        Fh_work, rFh, cFh = (np.empty(spec.grid.mask.shape, dtype=complex)
+                             for _ in range(3))
 
         def apply(h: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(np.asarray(u, dtype=complex))
-            for plane, r, c in cached:
-                Fh = diversity_forward(h, plane, spec.grid, counter=self.counter)
-                out += diversity_adjoint(r * Fh + c * np.conj(Fh), plane,
-                                         spec.grid, counter=self.counter)
+            h = self._checked(h)
+            out = np.zeros_like(h)
+            for phases, r, c in cached:
+                # r * Fh + c * conj(Fh), in that order
+                Fh = _forward(h, phases, self.counter, Fh_work)
+                np.multiply(r, Fh, out=rFh)
+                np.multiply(c, np.conj(Fh, out=cFh), out=cFh)
+                v = np.add(rFh, cFh, out=rFh)
+                out += _adjoint(v, phases, self.counter, v)
             return out
 
         return apply

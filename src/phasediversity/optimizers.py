@@ -63,7 +63,7 @@ _MAX_EVALS = 50  # function/gradient evaluations per line search
 
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
     """Re(a* b), the real inner product underlying all direction tests."""
-    return float(np.real(np.vdot(a, b)))
+    return float(np.vdot(a, b).real)
 
 
 @dataclass

@@ -237,8 +237,11 @@ class TestRunSolve:
             assert "morozov_reached" in row
             assert 0 <= row["morozov_index"] <= row["iterations"]
 
-    def test_fft_counter_matches_instrumented_transforms(self, monkeypatch):
-        # every 2-D / n-D numpy FFT entry point the program could call
+    @pytest.mark.parametrize("method", ["SD", "NCG", "LBFGS", "TN", "MISELL"])
+    def test_fft_counter_matches_instrumented_transforms(self, monkeypatch,
+                                                         method):
+        # every 2-D / n-D numpy FFT entry point the program could call, on
+        # every solver path: TN's Hessian action and MISELL's projections too
         calls = {"n": 0}
 
         def counting(real):
@@ -249,7 +252,7 @@ class TestRunSolve:
 
         for name in ("fft2", "ifft2", "fftn", "ifftn"):
             monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-        cfg = small_config(restarts=1)
+        cfg = small_config(restarts=1, **{"solver.method": method})
         inst = build_instance(cfg)
         calls["n"] = 0
         trace, row = run_single(cfg, inst, 0)
@@ -639,7 +642,9 @@ class TestCli:
                                          "noise.snr=0", "noise.snr=-1",
                                          "solver.tn_cg_max=0",
                                          "solver.tn_cg_max=-1",
-                                         "solver.seed=-1"])
+                                         "solver.seed=-1",
+                                         "morozov.tau=0", "morozov.tau=-1",
+                                         "morozov.tau=nan"])
     def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys,
                                                  command, setting):
         inst_dir = tmp_path / "inst"
@@ -651,6 +656,22 @@ class TestCli:
                      "--set", "restarts=1", "--set", "solver.max_iters=3",
                      "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_negative_noise_seed_named_in_error(self, tmp_path, capsys,
+                                                command):
+        inst_dir = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.n=8",
+                     "--out", str(inst_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        given = [] if command == "simulate" else ["--instance", str(inst_dir)]
+        assert main([command, *given, "--set", "problem.n=8",
+                     "--set", "noise.snr=20", "--set", "noise.seed=-1",
+                     "--set", "restarts=1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "noise.seed" in err
         assert not out.exists()
 
     def test_intensity_csvs_parse_with_headers(self, tmp_path):

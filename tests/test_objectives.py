@@ -15,6 +15,7 @@ from phasediversity.objectives import (
     DataMisfit,
     MeasurementSet,
     ObjectiveSpec,
+    hessian_diagonals,
     objective_floor,
 )
 
@@ -187,6 +188,29 @@ def test_kept_gradient_survives_next_evaluation(model):
     assert g1.tobytes() == kept.tobytes()
     assert np.float64(obj.value(u1)).tobytes() == np.float64(f1).tobytes()
     assert g1.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_hessian_action_bit_identical_to_its_definition(model):
+    # sum over planes of F*(r o F(h) + c o conj(F(h))), from the public
+    # operators and the (r, c) of hessian_diagonals
+    n = 32
+    spec, truth = make_spec(model, n=n, eps=1e-6, defocus=(-2.7, 3.1),
+                            amplitude=True, seed=21)
+    rng = np.random.default_rng(22)
+    u = truth + 0.1 * random_complex(rng, (n, n))
+    hess = DataMisfit(spec).hessian_operator(u)
+    for _ in range(2):  # repeated applications reuse the work arrays
+        h = random_complex(rng, (n, n))
+        ref = np.zeros_like(h)
+        for plane, intensity in zip(spec.plan, spec.data.intensities):
+            r, c = hessian_diagonals(model, u, plane, spec.grid, intensity,
+                                     spec.epsilon)
+            Fh = diversity_forward(h, plane, spec.grid)
+            ref += diversity_adjoint(r * Fh + c * np.conj(Fh), plane, spec.grid)
+        got = hess(h)
+        assert got.tobytes() == ref.tobytes()
+        assert hess(h) is not got
 
 
 class TestHvp:
