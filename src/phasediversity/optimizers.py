@@ -30,7 +30,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import aligned_rms, atomic_open, key_value_lines, parse_key_values
+from .fields import (
+    aligned_rms,
+    atomic_open,
+    blocked_vdot,
+    key_value_lines,
+    parse_key_values,
+)
 from .forward import (
     DiversityPlan,
     PupilGrid,
@@ -63,7 +69,12 @@ _MAX_EVALS = 50  # function/gradient evaluations per line search
 
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
     """Re(a* b), the real inner product underlying all direction tests."""
-    return float(np.vdot(a, b).real)
+    return float(blocked_vdot(a, b).real)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm ||x|| = sqrt(Re(x* x))."""
+    return math.sqrt(_redot(x, x))
 
 
 @dataclass
@@ -287,7 +298,8 @@ def hestenes_stiefel_beta(g: np.ndarray, g_prev: np.ndarray,
 
 
 class LbfgsMemory:
-    """Ring buffer of curvature pairs (s_i, y_i, rho_i = 1/Re(y_i* s_i)).
+    """Ring buffer of curvature pairs (s_i, y_i, rho_i, ys_i), with
+    ys_i = Re(y_i* s_i) and rho_i = 1/ys_i.
 
     Pairs with Re(y* s) <= 0 are rejected so the implicit inverse-Hessian
     approximation stays positive definite.
@@ -302,7 +314,7 @@ class LbfgsMemory:
         ys = _redot(y, s)
         if ys <= 0.0:
             return False
-        self.pairs.append((s, y, 1.0 / ys))
+        self.pairs.append((s, y, 1.0 / ys, ys))
         return True
 
     def __len__(self) -> int:
@@ -315,13 +327,13 @@ def lbfgs_direction(g: np.ndarray, memory: LbfgsMemory) -> np.ndarray:
     if len(memory) == 0:
         return d
     alphas = []
-    for s, y, rho in reversed(memory.pairs):
+    for s, y, rho, _ in reversed(memory.pairs):
         a_i = rho * _redot(s, d)
         d = d - a_i * y
         alphas.append(a_i)
-    s_l, y_l, _ = memory.pairs[-1]
-    d = d * (_redot(y_l, s_l) / _redot(y_l, y_l))
-    for (s, y, rho), a_i in zip(memory.pairs, reversed(alphas)):
+    _, y_l, _, ys_l = memory.pairs[-1]
+    d = d * (ys_l / _redot(y_l, y_l))
+    for (s, y, rho, _), a_i in zip(memory.pairs, reversed(alphas)):
         b = rho * _redot(y, d)
         d = d + (a_i - b) * s
     return d
@@ -417,13 +429,12 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
     alpha, negative_curvature = float("nan"), False
 
     for k in range(config.max_iters + 1):
-        gnorm = float(np.linalg.norm(g.ravel()))
+        gnorm = _norm(g)
         trace.append(TraceRecord(k, f, gnorm, alpha, _rms_or_nan(truth, z),
                                  obj.fft_calls, negative_curvature))
         if k > 0 and abs(f_old - f) <= config.tol_fun * max(1.0, abs(f_old)):
             trace.stop_reason = "tol_fun"
-        elif k > 0 and float(np.linalg.norm(s.ravel())) <= config.tol_x * max(
-                1.0, float(np.linalg.norm(z_old.ravel()))):
+        elif k > 0 and _norm(s) <= config.tol_x * max(1.0, _norm(z_old)):
             trace.stop_reason = "tol_x"
         elif gnorm <= config.grad_tol:
             trace.stop_reason = "grad_zero"

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasediversity.fields import (
+    _DOT_BLOCK,
     aligned_rms,
     atomic_open,
+    blocked_vdot,
     field_from_csv,
     field_to_csv,
     format_floats,
@@ -68,6 +70,41 @@ class TestAlignedRms:
             nu = np.linalg.norm(u)
             sampled = min(np.linalg.norm(c * u - uhat) / nu for c in phases)
             assert value <= sampled + 1e-10
+
+
+class TestBlockedVdot:
+    @pytest.mark.parametrize("shape", [(1,), (37,), (16, 16), (90, 90),
+                                       (_DOT_BLOCK,)])
+    def test_one_block_is_np_vdot_bit_for_bit(self, shape):
+        rng = np.random.default_rng(11)
+        a, b = random_complex(rng, shape), random_complex(rng, shape)
+        got = blocked_vdot(a, b)
+        assert isinstance(got, np.complex128)
+        assert got.tobytes() == np.vdot(a, b).tobytes()
+
+    @pytest.mark.parametrize("shape", [(_DOT_BLOCK + 1,), (100, 100),
+                                       (129, 129), (20001,)])
+    def test_several_blocks_agree_with_np_vdot(self, shape):
+        rng = np.random.default_rng(12)
+        a, b = random_complex(rng, shape), random_complex(rng, shape)
+        for x, y in ((a, b), (a, a)):
+            got = blocked_vdot(x, y)
+            assert isinstance(got, np.complex128)
+            scale = np.sum(np.abs(x) * np.abs(y))
+            assert abs(got - np.vdot(x, y)) <= 1e-14 * scale
+
+    def test_aligned_rms_near_convergence_matches_numpy_phase(self):
+        # The phase factor stays a numpy complex division: a Python complex
+        # ip / abs(ip) moves c by an ulp, which is a large relative error in
+        # a 1e-11 residual.
+        rng = np.random.default_rng(13)
+        u = random_complex(rng, (32, 32))
+        for theta in (0.4, -1.9, 3.0):
+            uhat = np.exp(1j * theta) * u + 1e-11 * random_complex(rng, u.shape)
+            ip = np.vdot(u, uhat)
+            c = ip / abs(ip)
+            oracle = np.linalg.norm(c * u - uhat) / np.linalg.norm(u)
+            assert aligned_rms(u, uhat) == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
 class TestSerialization:

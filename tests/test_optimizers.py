@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phasediversity.fields import _DOT_BLOCK
 from phasediversity.forward import DiversityPlan
 from phasediversity.objectives import DataMisfit, MeasurementSet, ObjectiveSpec
 from phasediversity.optimizers import (
@@ -562,6 +563,32 @@ class TestSolverInfrastructure:
             trace.to_csv(path, header={"k": "w"})
         assert path.read_bytes() == first
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_no_blas_reduction_above_one_block(self, monkeypatch):
+        # OpenBLAS threads a dot product above 10000 elements and its idle
+        # worker then spins; every reduction of a solve must stay in blocks.
+        from phasediversity.experiments import initial_guess
+
+        inst = build_problem("segmented", 128, seed=2)
+        spec = ObjectiveSpec("LS", 1e-14, inst.plan, inst.data, inst.grid)
+        z0 = initial_guess(inst.grid.mask, 0)
+        sizes = []
+        real_vdot = np.vdot
+
+        def recording_vdot(a, b):
+            sizes.append(np.size(a))
+            return real_vdot(a, b)
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called on the solver path")
+
+        monkeypatch.setattr(np, "vdot", recording_vdot)
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        for method in ("SD", "NCG", "LBFGS", "TN"):
+            cfg = SolverConfig(method=method, max_iters=3, tn_cg_max=3)
+            _, trace = solve(DataMisfit(spec), cfg, z0, truth=inst.truth)
+            assert trace.iterations == 3
+        assert sizes and max(sizes) <= _DOT_BLOCK < z0.size
 
     def test_misell_config_dispatch_rejected(self):
         obj = shifted_quadratic(np.zeros(2, complex))
