@@ -14,10 +14,8 @@ from .forward import (
     PlaneSpec,
     PupilGrid,
     TransformCounter,
-    defocus_diag,
     diversity_adjoint,
     diversity_forward,
-    predict_intensity,
     unitary_dft2,
 )
 from .hessian import (

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (atomic_open, format_floats, key_value_lines, load_field,
+from .fields import (atomic_open, format_floats, key_value_lines,
                      parse_bool, parse_floats, parse_key_values,
                      require_same_shape)
 from .forward import DEFOCUS, DiversityPlan
@@ -533,7 +533,7 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
         elif point == "random":
             u = initial_guess(instance.grid.mask, config.solver.seed)
         else:
-            u = load_field(point)
+            u = np.load(point)
         require_same_shape(u, instance.grid.mask)
         matrices = [plane_matrix(plane, instance.grid) for plane in instance.plan]
     except (OSError, ValueError) as exc:

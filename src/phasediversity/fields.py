@@ -35,7 +35,6 @@ __all__ = [
     "parse_floats",
     "format_floats",
     "save_field",
-    "load_field",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -169,10 +168,6 @@ def save_field(path, arr: np.ndarray) -> None:
     """Write a field to the binary container used for fixtures (npy format)."""
     with atomic_open(path, "wb") as fh:
         np.save(fh, np.asarray(arr))
-
-
-def load_field(path) -> np.ndarray:
-    return np.load(path)
 
 
 def field_to_csv(path, arr: np.ndarray, header: dict | None = None) -> None:

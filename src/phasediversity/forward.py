@@ -30,10 +30,8 @@ __all__ = [
     "PupilGrid",
     "TransformCounter",
     "unitary_dft2",
-    "defocus_diag",
     "diversity_forward",
     "diversity_adjoint",
-    "predict_intensity",
 ]
 
 AMPLITUDE = "amplitude"
@@ -165,16 +163,6 @@ def _defocus_phase(n: int, d: float):
     return phase, conj
 
 
-def defocus_diag(plane: PlaneSpec, grid: PupilGrid) -> np.ndarray:
-    """Unit-modulus quadratic phase exp(i 2 pi d (x^2+y^2)) for a defocus plane.
-
-    The returned array is shared between calls and read-only.
-    """
-    if plane.kind != DEFOCUS:
-        raise ValueError("defocus_diag is defined for defocus planes only")
-    return _defocus_phase(grid.n, plane.defocus_waves)[0]
-
-
 def _plane_phases(plane: PlaneSpec, grid: PupilGrid):
     """The plane's read-only (phase, conjugate) pair, ``None`` for the
     amplitude plane."""
@@ -203,34 +191,24 @@ def _adjoint(v: np.ndarray, phases, counter: TransformCounter | None,
 
 
 def diversity_forward(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
-                      counter: TransformCounter | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      counter: TransformCounter | None = None) -> np.ndarray:
     """Apply the plane's forward operator to the pupil field ``u``.
 
     The amplitude plane is the identity and returns ``u`` itself (as a
-    complex array) without copying, ``out`` or not; a defocus plane writes
-    into ``out`` when given.
+    complex array) without copying.
     """
     u = np.asarray(u, dtype=complex)
     require_same_shape(u, grid.mask)
-    return _forward(u, _plane_phases(plane, grid), counter, out)
+    return _forward(u, _plane_phases(plane, grid), counter, None)
 
 
 def diversity_adjoint(v: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
-                      counter: TransformCounter | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      counter: TransformCounter | None = None) -> np.ndarray:
     """Adjoint (= inverse, by unitarity) of :func:`diversity_forward`.
 
     The amplitude plane returns ``v`` itself (as a complex array) without
-    copying, ``out`` or not; a defocus plane writes into ``out`` when
-    given, which may be ``v`` itself.
+    copying.
     """
     v = np.asarray(v, dtype=complex)
     require_same_shape(v, grid.mask)
-    return _adjoint(v, _plane_phases(plane, grid), counter, out)
-
-
-def predict_intensity(u: np.ndarray, plane: PlaneSpec,
-                      grid: PupilGrid) -> np.ndarray:
-    """Predicted intensity |F_plane(u)|^2 on the measurement plane."""
-    return np.abs(diversity_forward(u, plane, grid)) ** 2
+    return _adjoint(v, _plane_phases(plane, grid), counter, None)

@@ -7,10 +7,12 @@ accepted step length alpha must satisfy both Wolfe conditions
     f(z + alpha d) <= f(z) + c1 alpha Re(d* g)
     Re(d* g_new)   >= c2 Re(d* g)
 
-with 0 < c1 < c2 < 1.  The search is one bracketing loop with cubic
-interpolation, initial trial alpha = 1, expansion factor 2 and a fixed
-budget of 50 function/gradient evaluations per search; a trial with a
-non-finite value or slope counts as a step too long.
+with 0 < c1 < c2 < 1.  The search sees only the slice phi(alpha) =
+f(z + alpha d): it takes phi(0) = f(z) and phi'(0) = Re(d* g), not the
+gradient.  It is one bracketing loop with cubic interpolation, initial
+trial alpha = 1, expansion factor 2 and a fixed budget of 50
+function/gradient evaluations per search; a trial with a non-finite
+value or slope counts as a step too long.
 
 Methods, all run by :func:`solve` and selected by ``SolverConfig.method``:
 steepest descent, Hestenes-Stiefel nonlinear conjugate gradient,
@@ -225,30 +227,30 @@ def _cubic_minimizer(a, fa, da, b, fb, db):
 
 
 def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
-                      g: np.ndarray, f0: float, c1: float = 1e-4,
+                      f0: float, dphi0: float, c1: float = 1e-4,
                       c2: float = 0.9) -> LineSearchResult:
     """Find a step length satisfying both Wolfe conditions along ``d``.
 
-    Accepted steps satisfy the strong form |Re(d* g_new)| <= -c2 Re(d* g),
-    which implies the curvature inequality Re(d* g_new) >= c2 Re(d* g);
+    Accepted steps satisfy the strong form |Re(d* g_new)| <= -c2 dphi0,
+    which implies the curvature inequality Re(d* g_new) >= c2 dphi0;
     the strong form keeps near-exact minimizers on quadratic slices, which
     conjugate-gradient directions rely on.
 
-    ``f_and_grad`` maps a point to (value, gradient); ``f0`` and ``g`` are
-    the value and gradient at ``z``.  One loop narrows the bracket
+    ``f_and_grad`` maps a point to (value, gradient); ``f0`` and ``dphi0``
+    are the slice's value f(z) and slope Re(d* g) at ``z``, which the
+    caller has already computed.  One loop narrows the bracket
     [lo, hi], with hi = inf until a trial is too long or the slope turns:
     the trials are 1, 2 lo, ... while hi = inf, then the safeguarded cubic
     minimizer on [lo, hi].  A trial is too long if its value or directional
     derivative is not finite (More & Thuente 1994), if it fails sufficient
     decrease, or if, after the first trial, it is no lower than lo.  Raises
-    ValueError for a non-finite start point or a non-descent direction and
-    LineSearchError, saying which, when the bracket collapses or 50
-    evaluations find no Wolfe point.
+    ValueError for a non-finite start value or slope or a non-descent
+    direction (dphi0 >= 0) and LineSearchError, saying which, when the
+    bracket collapses or 50 evaluations find no Wolfe point.
     """
-    if not (math.isfinite(f0) and np.isfinite(g).all()):
-        raise ValueError("wolfe_line_search needs a finite value and gradient "
+    if not (math.isfinite(f0) and math.isfinite(dphi0)):
+        raise ValueError("wolfe_line_search needs a finite value and slope "
                          "at the start point")
-    dphi0 = _redot(d, g)
     if not dphi0 < 0.0:
         raise ValueError("wolfe_line_search requires a descent direction (Re(d*g) < 0)")
 
@@ -412,9 +414,12 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
 
     ``truth`` (optional) enables the per-iteration aligned-RMS column.
     Each iteration records the current point, then stops on the first of
-    tol_fun, tol_x, grad_zero and max_iters that holds.  A failed line
-    search retries once along -g, unless the failed direction already
-    equals -g, in which case the run stops with line_search_fail.
+    tol_fun, tol_x, grad_zero and max_iters that holds.  Each searched
+    direction d gets its slope Re(d* g) once, which the search takes with
+    f; a direction with slope >= 0 is replaced by -g, whose slope is
+    -||g||^2.  A failed line search retries once along -g, unless the
+    failed direction already equals -g, in which case the run stops with
+    line_search_fail.
     """
     method = config.method
     if method not in ("SD", "NCG", "LBFGS", "TN"):
@@ -429,7 +434,8 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
     alpha, negative_curvature = float("nan"), False
 
     for k in range(config.max_iters + 1):
-        gnorm = _norm(g)
+        gg = _redot(g, g)
+        gnorm = math.sqrt(gg)
         trace.append(TraceRecord(k, f, gnorm, alpha, _rms_or_nan(truth, z),
                                  obj.fft_calls, negative_curvature))
         if k > 0 and abs(f_old - f) <= config.tol_fun * max(1.0, abs(f_old)):
@@ -443,28 +449,30 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
         if trace.stop_reason:
             return z, trace
 
-        steepest = -g
         if method == "LBFGS":
             d = lbfgs_direction(g, memory)
         elif method == "TN":
             d, negative_curvature = _newton_cg_direction(obj, z, g, cg_max)
         elif method == "NCG" and k > 0:
             beta = hestenes_stiefel_beta(g, g_prev, d)
-            d = steepest + beta * d if beta != 0.0 else steepest
+            d = beta * d - g if beta != 0.0 else -g
         else:  # SD, and NCG's first step
-            d = steepest
-        if _redot(d, g) >= 0.0:
-            d = steepest
+            d = -g
+        slope = _redot(d, g)
+        if slope >= 0.0:  # a NaN slope goes on to the search, which rejects it
+            d, slope = -g, -gg
 
-        for d in (d, steepest):
+        while True:  # at most twice: d, then -g
             try:
-                ls = wolfe_line_search(obj.value_and_gradient, z, d, g, f0=f,
+                ls = wolfe_line_search(obj.value_and_gradient, z, d, f, slope,
                                        c1=config.c1, c2=config.c2)
                 break
             except LineSearchError:
+                steepest = -g
                 if np.array_equal(d, steepest):
                     trace.stop_reason = "line_search_fail"
                     return z, trace
+                d, slope = steepest, -gg
 
         s = ls.z_new - z
         if method == "LBFGS":

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (atomic_open, field_from_csv, field_to_csv, format_floats,
-                     key_value_lines, load_field, parse_bool, parse_floats,
+                     key_value_lines, parse_bool, parse_floats,
                      parse_key_values, require_same_shape, save_field)
-from .forward import DiversityPlan, PupilGrid, predict_intensity
+from .forward import DiversityPlan, PupilGrid, diversity_forward
 from .objectives import MeasurementSet
 
 __all__ = [
@@ -42,6 +42,18 @@ __all__ = [
 ]
 
 PROBLEM_TYPES = ("zernike", "vonkarman", "segmented")
+
+# Pupil radii below 0.5 oversample the diffraction images, which keeps the
+# benchmark problems well conditioned at desk-scale grids.
+PROBLEM_DEFAULTS = {
+    "zernike": {"r_inner": 0.12, "r_outer": 0.3, "zernike_index": 13,
+                "zernike_coeff": 0.1},
+    "vonkarman": {"r_inner": 0.0, "r_outer": 0.3, "target_rms": 0.19,
+                  "outer_scale": 2.0, "r0": 0.1},
+    "segmented": {"rings": 2, "gap_frac": 0.1, "outer_radius": 0.3,
+                  "target_rms": 0.21, "outer_scale": 2.0, "r0": 0.1},
+}
+_SEGMENTED = PROBLEM_DEFAULTS["segmented"]
 
 
 def annular_pupil(n: int, r_inner: float, r_outer: float) -> PupilGrid:
@@ -177,9 +189,11 @@ def _hex_ring_offsets(rings: int):
     return cells
 
 
-def segmented_membership(x: np.ndarray, y: np.ndarray, rings: int = 2,
-                         gap_frac: float = 0.1,
-                         outer_radius: float = 0.375) -> np.ndarray:
+def segmented_membership(x: np.ndarray, y: np.ndarray,
+                         rings: int = _SEGMENTED["rings"],
+                         gap_frac: float = _SEGMENTED["gap_frac"],
+                         outer_radius: float = _SEGMENTED["outer_radius"]
+                         ) -> np.ndarray:
     """Point-in-aperture test for the hexagonally segmented pupil.
 
     ``rings = 0`` is a single central hexagon; for ``rings >= 1`` the
@@ -218,8 +232,10 @@ def segmented_membership(x: np.ndarray, y: np.ndarray, rings: int = 2,
     return out
 
 
-def segmented_pupil(n: int, rings: int = 2, gap_frac: float = 0.1,
-                    outer_radius: float = 0.375) -> PupilGrid:
+def segmented_pupil(n: int, rings: int = _SEGMENTED["rings"],
+                    gap_frac: float = _SEGMENTED["gap_frac"],
+                    outer_radius: float = _SEGMENTED["outer_radius"]
+                    ) -> PupilGrid:
     """Hexagonally segmented pupil mask on the centered lattice."""
     x, y = PupilGrid.coordinates(n)
     return PupilGrid(n, segmented_membership(x, y, rings, gap_frac, outer_radius))
@@ -229,7 +245,7 @@ def simulate_measurements(truth: np.ndarray, plan: DiversityPlan,
                           grid: PupilGrid) -> MeasurementSet:
     """Noiseless per-plane intensities predicted from the true wavefront."""
     return MeasurementSet(
-        [predict_intensity(truth, plane, grid) for plane in plan])
+        [np.abs(diversity_forward(truth, plane, grid)) ** 2 for plane in plan])
 
 
 def add_poisson_noise(data: MeasurementSet, snr: float, seed: int = 0) -> MeasurementSet:
@@ -302,18 +318,6 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
 
-# Pupil radii below 0.5 oversample the diffraction images, which keeps the
-# benchmark problems well conditioned at desk-scale grids.
-PROBLEM_DEFAULTS = {
-    "zernike": {"r_inner": 0.12, "r_outer": 0.3, "zernike_index": 13,
-                "zernike_coeff": 0.1},
-    "vonkarman": {"r_inner": 0.0, "r_outer": 0.3, "target_rms": 0.19,
-                  "outer_scale": 2.0, "r0": 0.1},
-    "segmented": {"rings": 2, "gap_frac": 0.1, "outer_radius": 0.3,
-                  "target_rms": 0.21, "outer_scale": 2.0, "r0": 0.1},
-}
-
-
 def build_problem(ptype: str, n: int, seed: int = 0,
                   defocus=(-3.0, 3.0), amplitude_plane: bool = True,
                   **params) -> ProblemInstance:
@@ -379,7 +383,7 @@ def load_instance(path) -> ProblemInstance:
     path = Path(path)
     with open(path / "config.txt") as fh:
         meta = parse_key_values(fh)
-    truth = load_field(path / "truth.npy")
+    truth = np.load(path / "truth.npy")
     n = truth.shape[0]
     grid = PupilGrid(n, np.abs(truth) > 0.5)
     plan = DiversityPlan.from_defocus(

@@ -9,6 +9,14 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def defocus_phase(n, d):
+    """Oracle for a defocus plane's phase: exp(2 pi i d (x^2 + y^2)) on the
+    centered lattice x_j = (j - n/2)/n, built without the program."""
+    axis = (np.arange(n) - n / 2.0) / n
+    x, y = np.meshgrid(axis, axis, indexing="xy")
+    return np.exp(2j * np.pi * d * (x * x + y * y))
+
+
 def structured_hermitian_matrix(r, c, U):
     """Oracle for the r +/- |c| spectrum rule: the unitary-conjugated
     structured family [[U^H diag(r) U, U^H diag(c) U^H],

@@ -58,11 +58,15 @@ def methods_batch(bench32):
     real_search = opt.wolfe_line_search
     real_push = opt.LbfgsMemory.push
 
-    def recording_search(fg, z, d, g, f0, c1=1e-4, c2=0.9):
-        res = real_search(fg, z, d, g, f0=f0, c1=c1, c2=c2)
-        dphi0 = float(np.real(np.vdot(d, g)))
+    def recording_search(fg, z, d, f0, dphi0, c1=1e-4, c2=0.9):
+        # the start slope is recomputed from the gradient of a separate
+        # probe objective, so the batch's own FFT counts do not move
+        g = probe.value_and_gradient(z)[1]
+        slope = float(np.real(np.vdot(d, g)))
+        assert dphi0 == slope, (dphi0, slope)
+        res = real_search(fg, z, d, f0, dphi0, c1=c1, c2=c2)
         dphi_new = float(np.real(np.vdot(d, res.g_new)))
-        wolfe_steps.append((f0, dphi0, res.alpha, res.f_new, dphi_new, c1, c2))
+        wolfe_steps.append((f0, slope, res.alpha, res.f_new, dphi_new, c1, c2))
         return res
 
     def recording_push(self, s, y):
@@ -74,6 +78,7 @@ def methods_batch(bench32):
     opt.wolfe_line_search = recording_search
     opt.LbfgsMemory.push = recording_push
     spec = spec_for(bench32, "LS")
+    probe = DataMisfit(spec)
     batches = {}
     t0 = time.perf_counter()
     try:

@@ -12,7 +12,6 @@ from phasediversity.fields import (
     field_to_csv,
     format_floats,
     key_value_lines,
-    load_field,
     parse_floats,
     parse_key_values,
     save_field,
@@ -112,7 +111,7 @@ class TestSerialization:
         rng = np.random.default_rng(5)
         arr = random_complex(rng, (5, 3))
         save_field(tmp_path / "f.npy", arr)
-        assert np.array_equal(load_field(tmp_path / "f.npy"), arr)
+        assert np.array_equal(np.load(tmp_path / "f.npy"), arr)
 
     def test_csv_roundtrip_real_with_header(self, tmp_path):
         arr = np.array([[0.0, 1.5], [-2.25, 3e-17]])
@@ -222,4 +221,4 @@ class TestAtomicOpen:
 
         arr = np.array([1, Bad()], dtype=object)
         self._interrupted_rewrite(path, lambda: save_field(path, arr))
-        assert np.array_equal(load_field(path), np.arange(4.0))
+        assert np.array_equal(np.load(path), np.arange(4.0))

@@ -6,14 +6,16 @@ from phasediversity.forward import (
     PlaneSpec,
     PupilGrid,
     TransformCounter,
-    defocus_diag,
+    _adjoint,
+    _forward,
+    _plane_phases,
     diversity_adjoint,
     diversity_forward,
-    predict_intensity,
     unitary_dft2,
 )
+from phasediversity.problems import simulate_measurements
 
-from conftest import random_complex
+from conftest import defocus_phase, random_complex
 
 
 def naive_dft2(f, inverse=False):
@@ -34,6 +36,12 @@ def naive_dft2(f, inverse=False):
 
 def full_grid(n):
     return PupilGrid(n, np.ones((n, n), dtype=bool))
+
+
+def predicted_intensity(u, plane, grid):
+    """The noiseless intensity simulate_measurements predicts on one plane."""
+    data = simulate_measurements(u, DiversityPlan([plane]), grid)
+    return data.intensities[0]
 
 
 class TestUnitaryDft:
@@ -74,50 +82,54 @@ class TestUnitaryDft:
 
 
 class TestDefocusDiag:
+    """The defocus diagonal, the cached (phase, conjugate) pair that the
+    plane operators apply."""
+
     def test_zero_defocus_is_ones(self):
         grid = full_grid(8)
-        assert np.allclose(defocus_diag(PlaneSpec.defocus(0.0), grid), 1.0)
+        for half in _plane_phases(PlaneSpec.defocus(0.0), grid):
+            assert np.allclose(half, 1.0)
 
     def test_unit_modulus(self):
         grid = full_grid(16)
-        d = defocus_diag(PlaneSpec.defocus(3.0), grid)
-        assert np.abs(np.abs(d) - 1.0).max() < 1e-15
+        phase, conj = _plane_phases(PlaneSpec.defocus(3.0), grid)
+        assert np.abs(np.abs(phase) - 1.0).max() < 1e-15
+        assert np.array_equal(conj, np.conj(phase))
 
     def test_point_value(self):
         # x = 1/4 at column index 3n/4, y = 0 at row index n/2
         n = 8
         grid = full_grid(n)
-        d = defocus_diag(PlaneSpec.defocus(3.0), grid)
-        got = d[n // 2, 3 * n // 4]
+        phase, _ = _plane_phases(PlaneSpec.defocus(3.0), grid)
+        got = phase[n // 2, 3 * n // 4]
         assert got == pytest.approx(np.exp(1j * 3 * np.pi / 8))
 
-    def test_amplitude_plane_rejected(self):
-        with pytest.raises(ValueError):
-            defocus_diag(PlaneSpec.amplitude(), full_grid(4))
+    def test_amplitude_plane_has_no_phase(self):
+        assert _plane_phases(PlaneSpec.amplitude(), full_grid(4)) is None
 
     @pytest.mark.parametrize("n, d", [(8, 3.0), (32, -3.0), (33, 0.7), (128, 2.5)])
     def test_equals_uncached_formula_bit_for_bit(self, n, d):
-        axis = (np.arange(n) - n / 2.0) / n
-        x, y = np.meshgrid(axis, axis, indexing="xy")
-        want = np.exp(2j * np.pi * d * (x * x + y * y))
+        want = defocus_phase(n, d)
         for _ in range(2):  # the first call may build, the second hits the cache
-            got = defocus_diag(PlaneSpec.defocus(d), full_grid(n))
+            got, conj = _plane_phases(PlaneSpec.defocus(d), full_grid(n))
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+            assert conj.tobytes() == np.conj(want).tobytes()
 
     def test_cached_phase_is_read_only(self):
-        d = defocus_diag(PlaneSpec.defocus(3.0), full_grid(16))
-        assert not d.flags.writeable
-        with pytest.raises(ValueError):
-            d[0, 0] = 0.0
-        assert defocus_diag(PlaneSpec.defocus(3.0), full_grid(16))[0, 0] != 0.0
+        for half in _plane_phases(PlaneSpec.defocus(3.0), full_grid(16)):
+            assert not half.flags.writeable
+            with pytest.raises(ValueError):
+                half[0, 0] = 0.0
+        for half in _plane_phases(PlaneSpec.defocus(3.0), full_grid(16)):
+            assert half[0, 0] != 0.0
 
     def test_phase_shared_across_masks_of_equal_n(self):
         n = 16
         x, y = PupilGrid.coordinates(n)
         disc = PupilGrid(n, x * x + y * y <= 0.2)
         plane = PlaneSpec.defocus(-1.5)
-        assert defocus_diag(plane, disc) is defocus_diag(plane, full_grid(n))
+        assert _plane_phases(plane, disc) is _plane_phases(plane, full_grid(n))
 
 
 class TestDiversityOperators:
@@ -131,19 +143,22 @@ class TestDiversityOperators:
         assert diversity_adjoint(u, PlaneSpec.amplitude(), grid) is u
 
     def test_out_receives_defocus_planes_only(self):
+        # the private cores behind the public operators take ``out``
         grid = full_grid(8)
         rng = np.random.default_rng(7)
         u = random_complex(rng, (8, 8))
         kept = u.copy()
         plane = PlaneSpec.defocus(2.5)
-        for op in (diversity_forward, diversity_adjoint):
+        phases = _plane_phases(plane, grid)
+        for core, op in ((_forward, diversity_forward),
+                         (_adjoint, diversity_adjoint)):
             fresh = op(u, plane, grid)
             buf = np.empty_like(u)
-            assert op(u, plane, grid, out=buf) is buf
+            assert core(u, phases, None, buf) is buf
             assert buf.tobytes() == fresh.tobytes()
-            assert op(u, PlaneSpec.amplitude(), grid, out=buf) is u
+            assert core(u, None, None, buf) is u
             alias = u.copy()
-            assert op(alias, plane, grid, out=alias) is alias
+            assert core(alias, phases, None, alias) is alias
             assert alias.tobytes() == fresh.tobytes()
         assert u.tobytes() == kept.tobytes()
 
@@ -209,13 +224,14 @@ class TestPredictIntensity:
     def test_unit_amplitudes_on_amplitude_plane(self):
         grid = full_grid(5)
         u = np.exp(1j * np.random.default_rng(10).uniform(size=(5, 5)))
-        assert np.allclose(predict_intensity(u, PlaneSpec.amplitude(), grid), 1.0)
+        assert np.allclose(predicted_intensity(u, PlaneSpec.amplitude(), grid),
+                           1.0)
 
     def test_total_intensity_conserved(self):
         grid = full_grid(12)
         u = random_complex(np.random.default_rng(11), (12, 12))
         for d in (-3.0, 0.0, 1.3, 3.0):
-            total = predict_intensity(u, PlaneSpec.defocus(d), grid).sum()
+            total = predicted_intensity(u, PlaneSpec.defocus(d), grid).sum()
             assert total == pytest.approx(np.linalg.norm(u) ** 2)
 
     def test_matches_naive_dft(self):
@@ -223,8 +239,9 @@ class TestPredictIntensity:
         grid = full_grid(n)
         plane = PlaneSpec.defocus(3.0)
         u = random_complex(np.random.default_rng(12), (n, n))
-        oracle = np.abs(naive_dft2(defocus_diag(plane, grid) * u)) ** 2
-        assert np.abs(predict_intensity(u, plane, grid) - oracle).max() < 1e-12
+        oracle = np.abs(naive_dft2(defocus_phase(n, 3.0) * u)) ** 2
+        got = predicted_intensity(u, plane, grid)
+        assert np.abs(got - oracle).max() < 1e-12
 
 
 class TestPlanValidation:

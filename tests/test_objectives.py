@@ -5,7 +5,6 @@ import pytest
 from phasediversity.forward import (
     DiversityPlan,
     PupilGrid,
-    defocus_diag,
     diversity_adjoint,
     diversity_forward,
 )
@@ -19,7 +18,7 @@ from phasediversity.objectives import (
     objective_floor,
 )
 
-from conftest import random_complex
+from conftest import defocus_phase, random_complex
 
 
 def full_grid(n):
@@ -56,7 +55,7 @@ class TestValues:
 
         mp.mp.dps = 50
         plane = spec.plan.planes[0]
-        phase = defocus_diag(plane, spec.grid)
+        phase = defocus_phase(n, plane.defocus_waves)
         w = u * phase
         total = mp.mpf(0)
         intensity = spec.data.intensities[0]

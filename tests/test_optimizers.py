@@ -55,6 +55,11 @@ def undefined_past_0_6(z):
     return float(np.real(np.vdot(r, r))), 2.0 * r
 
 
+def slope(d, g):
+    """Re(d* g), the slice slope the line search takes."""
+    return float(np.real(np.vdot(d, g)))
+
+
 _C = np.array([1.0 + 1.0j])
 
 # (objective, start, leading trial steps, trial count, accepted step or
@@ -88,7 +93,8 @@ class TestWolfeLineSearch:
         obj = shifted_quadratic(a)
         z = np.zeros(2, dtype=complex)
         f0, g = obj.value_and_gradient(z)
-        res = wolfe_line_search(obj.value_and_gradient, z, -g, g, f0=f0)
+        res = wolfe_line_search(obj.value_and_gradient, z, -g, f0,
+                                slope(-g, g))
         assert res.alpha == pytest.approx(0.5)
         assert np.allclose(res.z_new, a)
         assert res.f_new <= f0 + 1e-4 * res.alpha * np.real(np.vdot(-g, g))
@@ -102,8 +108,8 @@ class TestWolfeLineSearch:
             z = random_complex(rng, 6)
             f0, g = obj.value_and_gradient(z)
             d = -g
-            res = wolfe_line_search(obj.value_and_gradient, z, d, g, f0=f0,
-                                    c1=c1, c2=c2)
+            res = wolfe_line_search(obj.value_and_gradient, z, d, f0,
+                                    slope(d, g), c1=c1, c2=c2)
             dphi0 = np.real(np.vdot(d, g))
             assert res.f_new <= f0 + c1 * res.alpha * dphi0 + 1e-12 * abs(f0)
             assert np.real(np.vdot(d, res.g_new)) >= c2 * dphi0
@@ -113,7 +119,8 @@ class TestWolfeLineSearch:
         z = np.ones(2, dtype=complex)
         f0, g = obj.value_and_gradient(z)
         with pytest.raises(ValueError):
-            wolfe_line_search(obj.value_and_gradient, z, +g, g, f0=f0)
+            wolfe_line_search(obj.value_and_gradient, z, +g, f0,
+                              slope(g, g))
 
     def test_exhaustion_raises(self):
         # constant-gradient objective: the curvature condition can never hold
@@ -122,7 +129,7 @@ class TestWolfeLineSearch:
         z = np.zeros(1, dtype=complex)
         f0, g = fg(z)
         with pytest.raises(LineSearchError):
-            wolfe_line_search(fg, z, -g, g, f0=f0)
+            wolfe_line_search(fg, z, -g, f0, slope(-g, g))
 
     def test_matches_dense_alpha_scan(self):
         # Oracle: scan alpha in (0, 4] at 1e-4 resolution, find the first
@@ -148,7 +155,7 @@ class TestWolfeLineSearch:
             first_run_end += 1
         lo, hi = alphas[idx[0]], alphas[first_run_end]
 
-        res = wolfe_line_search(fg, z, d, g0, f0=f0, c1=c1, c2=c2)
+        res = wolfe_line_search(fg, z, d, f0, dphi0, c1=c1, c2=c2)
         assert lo - 1e-4 <= res.alpha <= hi + 1e-4
 
     def test_non_finite_trial_shrinks_the_step(self):
@@ -157,7 +164,7 @@ class TestWolfeLineSearch:
         fg = undefined_past_0_6
         z = np.zeros(1, dtype=complex)
         f0, g = fg(z)
-        res = wolfe_line_search(fg, z, -g, g, f0=f0)
+        res = wolfe_line_search(fg, z, -g, f0, slope(-g, g))
         assert res.alpha == 0.25
         assert res.evaluations <= 4
         assert np.isfinite(res.f_new)
@@ -167,9 +174,10 @@ class TestWolfeLineSearch:
         (1.0, np.array([np.inf + 0j])),
     ])
     def test_non_finite_start_point_rejected(self, f0, g):
+        d = np.array([-1.0 + 0j])
         with pytest.raises(ValueError, match="finite"):
-            wolfe_line_search(lambda z: (0.0, z), np.zeros(1, complex),
-                              np.array([-1.0 + 0j]), g, f0=f0)
+            wolfe_line_search(lambda z: (0.0, z), np.zeros(1, complex), d,
+                              f0, slope(d, g))
 
 
     @pytest.mark.parametrize("case", list(TRIAL_SEQUENCES))
@@ -185,9 +193,9 @@ class TestWolfeLineSearch:
         d = -g
         if isinstance(accepted, str):
             with pytest.raises(LineSearchError, match=accepted):
-                wolfe_line_search(recording, z, d, g, f0=f0)
+                wolfe_line_search(recording, z, d, f0, slope(d, g))
         else:
-            res = wolfe_line_search(recording, z, d, g, f0=f0)
+            res = wolfe_line_search(recording, z, d, f0, slope(d, g))
             assert res.alpha == pytest.approx(accepted, rel=1e-12)
             assert res.evaluations == count
         trials = [float(((p - z) / d)[0].real) for p in points]
@@ -582,8 +590,18 @@ class TestSolverInfrastructure:
         def no_norm(*args, **kwargs):
             raise AssertionError("np.linalg.norm called on the solver path")
 
+        real_isfinite = np.isfinite
+
+        def scalar_isfinite(x, *args, **kwargs):
+            # a full-grid finiteness scan is one more pass over the grid
+            if np.ndim(x) > 0:
+                raise AssertionError("np.isfinite scans an array on the "
+                                     "solver path")
+            return real_isfinite(x, *args, **kwargs)
+
         monkeypatch.setattr(np, "vdot", recording_vdot)
         monkeypatch.setattr(np.linalg, "norm", no_norm)
+        monkeypatch.setattr(np, "isfinite", scalar_isfinite)
         for method in ("SD", "NCG", "LBFGS", "TN"):
             cfg = SolverConfig(method=method, max_iters=3, tn_cg_max=3)
             _, trace = solve(DataMisfit(spec), cfg, z0, truth=inst.truth)
@@ -602,12 +620,20 @@ class TestSolverInfrastructure:
 
         real = wolfe_line_search
         attempted_fallback = {"n": 0}
+        retries = {"n": 0}
 
-        def flaky(fg, z, d, g, **kw):
+        def flaky(fg, z, d, f0, dphi0, **kw):
+            # the slope handed over is Re(d* g) at z, bit for bit, for the
+            # chosen direction and for the -g retry alike
+            g = fg(z)[1]
+            assert dphi0 == float(np.vdot(d, g).real)
             if not np.allclose(d, -g):
                 attempted_fallback["n"] += 1
                 raise LineSearchError("forced")
-            return real(fg, z, d, g, **kw)
+            if np.array_equal(d, -g):
+                assert dphi0 == -float(np.vdot(g, g).real)
+                retries["n"] += 1
+            return real(fg, z, d, f0, dphi0, **kw)
 
         monkeypatch.setattr(opt, "wolfe_line_search", flaky)
         rng = np.random.default_rng(11)
@@ -617,7 +643,38 @@ class TestSolverInfrastructure:
                            tol_x=0.0, grad_tol=1e-8)
         _, trace = solve(obj, cfg, np.zeros(4, complex))
         assert attempted_fallback["n"] > 0
+        assert retries["n"] >= attempted_fallback["n"]
         assert trace.iterations > 1
         assert trace.stop_reason in ("grad_zero", "max_iters")
         f = trace.f_values
         assert np.all(np.diff(f) <= 0.0)
+
+    def test_uphill_direction_is_swapped_for_gradient(self, monkeypatch):
+        # An uphill LBFGS direction is replaced by -g before any search,
+        # and that search gets the slope -Re(g* g).
+        import phasediversity.optimizers as opt
+
+        real_direction = lbfgs_direction
+        uphill = {"left": 1}
+        searches = []
+
+        def once_uphill(g, memory):
+            if uphill["left"]:
+                uphill["left"] -= 1
+                return g.copy()
+            return real_direction(g, memory)
+
+        def recording(fg, z, d, f0, dphi0, **kw):
+            searches.append((fg(z)[1], d.copy(), dphi0))
+            return wolfe_line_search(fg, z, d, f0, dphi0, **kw)
+
+        monkeypatch.setattr(opt, "lbfgs_direction", once_uphill)
+        monkeypatch.setattr(opt, "wolfe_line_search", recording)
+        a = random_complex(np.random.default_rng(12), 6)
+        _, trace = solve(shifted_quadratic(a), SolverConfig(method="LBFGS"),
+                         np.zeros(6, complex))
+        assert uphill["left"] == 0
+        g, d, dphi0 = searches[0]
+        assert np.array_equal(d, -g)
+        assert dphi0 == -float(np.vdot(g, g).real)
+        assert trace.stop_reason == "grad_zero"

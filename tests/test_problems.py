@@ -22,6 +22,8 @@ from phasediversity.problems import (
     zernike_annular_phase,
 )
 
+from conftest import defocus_phase
+
 
 class TestAnnularPupil:
     def test_disc_fill_fraction(self):
@@ -137,9 +139,14 @@ class TestSegmentedPupil:
         assert agreement >= 0.99
 
     def test_component_count(self):
-        grid = segmented_pupil(64, rings=2)
+        # at the default radius 0.3 the gaps are under a pixel wide at n=64
+        grid = segmented_pupil(64, rings=2, outer_radius=0.375)
         _, ncomp = ndimage.label(grid.mask)
         assert ncomp == 18
+
+    def test_default_is_the_segmented_problem_pupil(self):
+        assert np.array_equal(segmented_pupil(64).mask,
+                              build_problem("segmented", 64).grid.mask)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -166,13 +173,12 @@ class TestSimulateMeasurements:
 
     def test_small_case_against_naive_dft(self):
         from test_forward import naive_dft2
-        from phasediversity.forward import DiversityPlan, defocus_diag
 
         inst = build_problem("zernike", 4, defocus=(3.0,),
                              amplitude_plane=False, r_inner=0.0, r_outer=0.5,
                              zernike_index=1, zernike_coeff=0.2)
         plane = inst.plan.planes[0]
-        oracle = np.abs(naive_dft2(defocus_diag(plane, inst.grid) * inst.truth)) ** 2
+        oracle = np.abs(naive_dft2(defocus_phase(4, 3.0) * inst.truth)) ** 2
         assert np.abs(inst.data.intensities[0] - oracle).max() < 1e-12
 
 
