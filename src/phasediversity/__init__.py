@@ -35,7 +35,6 @@ from .objectives import (
 )
 from .optimizers import (
     METHODS,
-    FunctionObjective,
     LbfgsMemory,
     LineSearchError,
     RunTrace,

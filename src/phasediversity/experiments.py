@@ -30,7 +30,7 @@ import numpy as np
 from .fields import (atomic_open, format_floats, key_value_lines,
                      parse_bool, parse_floats, parse_key_values,
                      require_same_shape)
-from .forward import DEFOCUS, DiversityPlan
+from .forward import DEFOCUS, DiversityPlan, diversity_forward
 from .hessian import (
     clustering_comparison,
     closed_form_spectrum,
@@ -131,9 +131,12 @@ class ExperimentConfig:
             raise ConfigError("restarts must be >= 1")
         if self.noise_seed < 0:
             raise ConfigError(f"noise.seed must be >= 0, got {self.noise_seed}")
-        if not (np.isfinite(self.morozov_tau) and self.morozov_tau > 0):
-            raise ConfigError("morozov.tau must be a finite number > 0, "
-                              f"got {self.morozov_tau}")
+        for key, value in (("morozov.tau", self.morozov_tau),
+                           ("summary.success_rms", self.success_rms),
+                           ("noise.snr", self.snr)):
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be a finite number > 0, "
+                                  f"got {value}")
         known = set(PROBLEM_DEFAULTS[self.problem_type])
         unknown = set(self.problem_params) - known
         if unknown:
@@ -543,11 +546,11 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
     for plane, intensity, U in zip(instance.plan, instance.data.intensities,
                                    matrices):
         models = {}
+        Fu = diversity_forward(u, plane, instance.grid)
         for model in MODELS:
             report = closed_form_spectrum(model, u, plane, instance.grid,
                                           intensity, config.epsilon)
-            r, c = hessian_diagonals(model, u, plane, instance.grid,
-                                     intensity, config.epsilon)
+            r, c = hessian_diagonals(model, Fu, intensity, config.epsilon)
             dense = np.sort(np.linalg.eigvalsh(dense_hessian(r, c, U)))
             entry = report.to_dict()
             entry["dense_max_deviation"] = float(

@@ -14,7 +14,9 @@ satisfies f(u + h) ~ f(u) + 2 Re<h, g>.  The Hessian is applied
 matrix-free as H(h) = F*(r o F(h)) + F*(c o conj(F(h))) with real
 coefficient r and complex coefficient c per plane; the same (r, c)
 vectors, from :func:`hessian_diagonals`, are the structured-Hessian
-diagonals used by the spectrum analysis module.
+diagonals used by the spectrum analysis module.  Each model's per-pixel
+terms are written once, as functions of K, in :func:`_plane_terms`;
+:func:`objective_floor` evaluates them at the K that minimizes each term.
 
 The eps^2 perturbation is added to intensity inside log and sqrt (not
 eps to amplitude); the first LS term keeps K unperturbed.
@@ -22,7 +24,7 @@ eps to amplitude); the first LS term keeps K unperturbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,13 +32,11 @@ import numpy as np
 from .fields import require_intensity, require_same_shape
 from .forward import (
     DiversityPlan,
-    PlaneSpec,
     PupilGrid,
     TransformCounter,
     _adjoint,
     _forward,
     _plane_phases,
-    diversity_forward,
 )
 
 __all__ = [
@@ -55,19 +55,18 @@ DEFAULT_EPSILON = 1e-14
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Per-plane observed intensities and the derived amplitudes sqrt(I)."""
+    """Per-plane observed intensities and the amplitudes sqrt(I), computed
+    once when the set is built."""
 
     intensities: tuple
+    amplitudes: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, intensities: Sequence[np.ndarray]):
         ints = tuple(require_intensity(i) for i in intensities)
         if not ints:
             raise ValueError("a measurement set needs at least one plane")
         object.__setattr__(self, "intensities", ints)
-
-    @property
-    def amplitudes(self) -> tuple:
-        return tuple(np.sqrt(i) for i in self.intensities)
+        object.__setattr__(self, "amplitudes", tuple(np.sqrt(i) for i in ints))
 
     def __len__(self) -> int:
         return len(self.intensities)
@@ -86,8 +85,9 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown misfit model {self.model!r}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be a finite number > 0, "
+                             f"got {self.epsilon}")
         if len(self.data) != len(self.plan):
             raise ValueError(
                 f"{len(self.data)} data planes for {len(self.plan)} plan planes")
@@ -95,13 +95,11 @@ class ObjectiveSpec:
             require_same_shape(i, self.grid.mask)
 
 
-def hessian_diagonals(model: str, u: np.ndarray, plane: PlaneSpec,
-                      grid: PupilGrid, intensity: np.ndarray, eps: float,
-                      counter: TransformCounter | None = None):
-    """Per-pixel structured-Hessian coefficients (r real, c complex) of the
-    plane's Hessian action H(h) = F*(r o F(h) + c o conj(F(h))) at ``u``;
-    costs one transform."""
-    Fu = diversity_forward(u, plane, grid, counter=counter)
+def hessian_diagonals(model: str, Fu: np.ndarray, intensity: np.ndarray,
+                      eps: float):
+    """Per-pixel structured-Hessian coefficients (r real, c complex) of a
+    plane's Hessian action H(h) = F*(r o F(h) + c o conj(F(h))), from the
+    plane's transform ``Fu`` = F(u) at the point; pointwise, no transform."""
     K = np.abs(Fu) ** 2
     intensity = np.asarray(intensity, dtype=float)
     Ke = K + eps * eps
@@ -118,14 +116,13 @@ def hessian_diagonals(model: str, u: np.ndarray, plane: PlaneSpec,
     return np.asarray(r, dtype=float), np.asarray(c, dtype=complex)
 
 
-def _plane_terms(model: str, Fu: np.ndarray, intensity: np.ndarray,
+def _plane_terms(model: str, K: np.ndarray, intensity: np.ndarray,
                  amplitude: np.ndarray, eps: float, work):
-    """Plane misfit value and the real weight w such that the plane's
-    gradient is F*(F(u) o w), computed in the three real arrays ``work``
-    (w is one of them); K + eps^2 (and, for LS, its square root) is
-    computed once and shared by both."""
-    K, Ke, t = work
-    np.square(np.abs(Fu, out=K), out=K)
+    """Plane misfit value at the predicted intensity K = |F(u)|^2 and the
+    real weight w such that the plane's gradient is F*(F(u) o w).  w is
+    written over ``K``, and the two real arrays ``work`` hold K + eps^2 (for
+    LS, its square root) and the terms, computed once and shared by both."""
+    Ke, t = work
     if model == "LSI":
         residual = np.subtract(K, intensity, out=K)
         return float(0.5 * np.sum(np.square(residual, out=t))), residual
@@ -156,7 +153,6 @@ class DataMisfit:
     def __init__(self, spec: ObjectiveSpec):
         self.spec = spec
         self.counter = TransformCounter()
-        self._amplitudes = spec.data.amplitudes
         self._phases = [_plane_phases(p, spec.grid) for p in spec.plan]
         shape = spec.grid.mask.shape
         self._field = np.empty(shape, dtype=complex)
@@ -177,11 +173,13 @@ class DataMisfit:
         u = self._checked(u)
         grad = np.zeros_like(u) if gradient else None
         total = 0.0
+        K, *work = self._work
         for phases, intensity, amplitude in zip(
-                self._phases, spec.data.intensities, self._amplitudes):
+                self._phases, spec.data.intensities, spec.data.amplitudes):
             Fu = _forward(u, phases, self.counter, self._field)
-            value, w = _plane_terms(spec.model, Fu, intensity, amplitude,
-                                    spec.epsilon, self._work)
+            np.square(np.abs(Fu, out=K), out=K)
+            value, w = _plane_terms(spec.model, K, intensity, amplitude,
+                                    spec.epsilon, work)
             total += value
             if gradient:
                 v = np.multiply(Fu, w, out=self._field)
@@ -200,11 +198,12 @@ class DataMisfit:
         each application (one inner CG step) two.  The work arrays are
         allocated once per build; each application returns a fresh array."""
         spec = self.spec
-        cached = [(phases, *hessian_diagonals(spec.model, u, plane, spec.grid,
-                                              intensity, spec.epsilon,
-                                              self.counter))
-                  for plane, phases, intensity in zip(
-                      spec.plan, self._phases, spec.data.intensities)]
+        u = self._checked(u)
+        cached = [(phases, *hessian_diagonals(
+                      spec.model, _forward(u, phases, self.counter, self._field),
+                      intensity, spec.epsilon))
+                  for phases, intensity in zip(self._phases,
+                                               spec.data.intensities)]
         Fh_work, rFh, cFh = (np.empty(spec.grid.mask.shape, dtype=complex)
                              for _ in range(3))
 
@@ -226,28 +225,18 @@ class DataMisfit:
 def objective_floor(spec: ObjectiveSpec) -> float:
     """Analytic lower bound of the misfit over all fields.
 
-    The per-pixel terms depend on u only through K >= 0, so minimizing
-    each term over K bounds the objective from below.  Used to anchor
+    The per-pixel terms depend on u only through K >= 0, and each is
+    smallest at K* = max(I - eps^2, 0), so the plane terms at K* bound the
+    objective from below (LSI's vanish there, at K* = I).  Used to anchor
     discrepancy-principle thresholds for the signed LS/MLP objectives.
     """
-    eps = spec.epsilon
-    e2 = eps * eps
+    if spec.model == "LSI":
+        return 0.0
+    e2 = spec.epsilon * spec.epsilon
     total = 0.0
     for intensity, amplitude in zip(spec.data.intensities, spec.data.amplitudes):
-        if spec.model == "LSI":
-            continue
-        if spec.model == "LS":
-            # min_K K - 2 M sqrt(K + e2): K* = M^2 - e2 when positive, else 0
-            interior = -intensity - e2
-            boundary = -2.0 * amplitude * eps
-            total += float(np.sum(np.where(intensity >= e2, interior, boundary)))
-        else:  # MLP: min_K K - I log(K + e2): K* = I - e2 when positive, else 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                interior = np.where(intensity > 0,
-                                    intensity - e2 - intensity * np.log(
-                                        np.where(intensity > 0, intensity, 1.0)),
-                                    0.0)
-            boundary = -intensity * np.log(e2)
-            total += float(np.sum(np.where(intensity >= e2, interior, boundary)))
+        K = np.maximum(intensity - e2, 0.0)
+        work = (np.empty_like(K), np.empty_like(K))
+        total += _plane_terms(spec.model, K, intensity, amplitude,
+                              spec.epsilon, work)[0]
     return total
-

@@ -59,7 +59,6 @@ __all__ = [
     "LbfgsMemory",
     "lbfgs_direction",
     "hestenes_stiefel_beta",
-    "FunctionObjective",
     "solve",
     "modulus_residual",
     "misell_iterate",
@@ -341,28 +340,6 @@ def lbfgs_direction(g: np.ndarray, memory: LbfgsMemory) -> np.ndarray:
     return d
 
 
-class FunctionObjective:
-    """Plain callables as a :func:`solve` objective: ``fg(z) -> (value,
-    gradient)`` backs ``value_and_gradient`` and the optional
-    ``hvp(z, h)`` backs ``hessian_operator``, which TN needs."""
-
-    def __init__(self, fg: Callable, hvp: Callable | None = None):
-        self._fg = fg
-        self._hvp = hvp
-
-    @property
-    def fft_calls(self) -> int:
-        return 0
-
-    def value_and_gradient(self, z):
-        return self._fg(z)
-
-    def hessian_operator(self, z):
-        if self._hvp is None:
-            raise NotImplementedError("objective provides no Hessian action")
-        return lambda h: self._hvp(z, h)
-
-
 def _newton_cg_direction(obj, z, g, cg_max):
     """Inexact Newton direction from matrix-free CG on H d = -g.
 
@@ -409,8 +386,8 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
     ``obj`` provides ``value_and_gradient(z) -> (value, gradient)`` and
     an ``fft_calls`` count recorded per iteration; TN also calls
     ``hessian_operator(z)``, which returns the Hessian action h -> H h at
-    ``z``.  :class:`~phasediversity.objectives.DataMisfit` and
-    :class:`FunctionObjective` both provide all three.
+    ``z``.  :class:`~phasediversity.objectives.DataMisfit` provides all
+    three.
 
     ``truth`` (optional) enables the per-iteration aligned-RMS column.
     Each iteration records the current point, then stops on the first of

@@ -228,7 +228,8 @@ def test_criterion_04_closed_forms_match_assembled_hessians():
     for plane, intensity in zip(inst.plan, inst.data.intensities):
         U = plane_matrix(plane, inst.grid)
         for model in MODELS:
-            r, c = hessian_diagonals(model, u, plane, inst.grid, intensity, eps)
+            r, c = hessian_diagonals(model, diversity_forward(u, plane, inst.grid),
+                                     intensity, eps)
             H = dense_hessian(r, c, U)
             dense = np.sort(np.linalg.eigvalsh(H))
             closed = closed_form_spectrum(model, u, plane, inst.grid,

@@ -639,12 +639,16 @@ class TestCli:
                                          "compare-models"])
     @pytest.mark.parametrize("setting", ["objective.epsilon=0",
                                          "objective.epsilon=-1",
+                                         "objective.epsilon=inf",
                                          "noise.snr=0", "noise.snr=-1",
                                          "solver.tn_cg_max=0",
                                          "solver.tn_cg_max=-1",
                                          "solver.seed=-1",
                                          "morozov.tau=0", "morozov.tau=-1",
-                                         "morozov.tau=nan"])
+                                         "morozov.tau=nan",
+                                         "summary.success_rms=0",
+                                         "summary.success_rms=-1",
+                                         "summary.success_rms=nan"])
     def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys,
                                                  command, setting):
         inst_dir = tmp_path / "inst"
@@ -658,21 +662,33 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "solve"])
-    def test_negative_noise_seed_named_in_error(self, tmp_path, capsys,
-                                                command):
+    @staticmethod
+    def config_error_names(tmp_path, capsys, command, settings, key):
+        """``command`` with ``settings`` exits 2 before any output, with a
+        config error that names ``key``."""
         inst_dir = tmp_path / "inst"
         assert main(["simulate", "--set", "problem.n=8",
                      "--out", str(inst_dir)]) == 0
         capsys.readouterr()
         out = tmp_path / "run"
         given = [] if command == "simulate" else ["--instance", str(inst_dir)]
-        assert main([command, *given, "--set", "problem.n=8",
-                     "--set", "noise.snr=20", "--set", "noise.seed=-1",
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        assert main([command, *given, "--set", "problem.n=8", *sets,
                      "--set", "restarts=1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "noise.seed" in err
+        assert "config error" in err and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_negative_noise_seed_named_in_error(self, tmp_path, capsys,
+                                                command):
+        self.config_error_names(tmp_path, capsys, command,
+                                ["noise.snr=20", "noise.seed=-1"], "noise.seed")
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_infinite_snr_named_in_error(self, tmp_path, capsys, command):
+        self.config_error_names(tmp_path, capsys, command, ["noise.snr=inf"],
+                                "noise.snr")
 
     def test_intensity_csvs_parse_with_headers(self, tmp_path):
         inst_dir = tmp_path / "inst"

@@ -51,13 +51,15 @@ def plane_setup(n=4, d=3.0, seed=0):
 class TestDiagonals:
     def test_mlp_at_consistent_point_small_eps(self):
         grid, plane, truth, intensity, _ = plane_setup()
-        r, c = hessian_diagonals("MLP", truth, plane, grid, intensity, 1e-12)
+        r, c = hessian_diagonals("MLP", diversity_forward(truth, plane, grid),
+                                 intensity, 1e-12)
         assert np.abs(r - 1.0).max() < 1e-8
         assert np.abs(np.abs(c) - 1.0).max() < 1e-8
 
     def test_ls_at_consistent_point(self):
         grid, plane, truth, intensity, _ = plane_setup()
-        r, c = hessian_diagonals("LS", truth, plane, grid, intensity, 1e-14)
+        r, c = hessian_diagonals("LS", diversity_forward(truth, plane, grid),
+                                 intensity, 1e-14)
         assert np.abs(r - 0.5).max() < 1e-8
         assert np.abs(np.abs(c) - 0.5).max() < 1e-8
 
@@ -65,7 +67,8 @@ class TestDiagonals:
     def test_assembled_matrix_reproduces_hessian_action(self, model):
         grid, plane, _, intensity, u = plane_setup(seed=1)
         eps = 1e-3
-        r, c = hessian_diagonals(model, u, plane, grid, intensity, eps)
+        r, c = hessian_diagonals(model, diversity_forward(u, plane, grid),
+                                 intensity, eps)
         H = dense_hessian(r, c, plane_matrix(plane, grid))
         spec = ObjectiveSpec(model, eps, DiversityPlan([plane]),
                              MeasurementSet([intensity]), grid)
@@ -129,7 +132,8 @@ class TestClosedFormSpectrum:
             intensity = np.abs(u) ** 2 * 0.5 + 0.1
         eps = 1e-2
         report = closed_form_spectrum(model, u, plane, grid, intensity, eps)
-        r, c = hessian_diagonals(model, u, plane, grid, intensity, eps)
+        r, c = hessian_diagonals(model, diversity_forward(u, plane, grid),
+                                 intensity, eps)
         dense = np.sort(np.linalg.eigvalsh(
             dense_hessian(r, c, plane_matrix(plane, grid))))
         assert np.abs(report.eigenvalues - dense).max() < 1e-9
@@ -138,7 +142,8 @@ class TestClosedFormSpectrum:
         grid, plane, _, intensity, u = plane_setup(seed=5)
         for model in MODELS:
             cf = closed_form_spectrum(model, u, plane, grid, intensity, 1e-4)
-            r, c = hessian_diagonals(model, u, plane, grid, intensity, 1e-4)
+            r, c = hessian_diagonals(model, diversity_forward(u, plane, grid),
+                                     intensity, 1e-4)
             st = structured_eigenvalues(r, c)
             assert np.abs(cf.eigenvalues - st.eigenvalues).max() < 1e-11
 
@@ -162,7 +167,8 @@ class TestDenseGuard:
 
     def test_structured_hessian_assembles_hermitian(self):
         grid, plane, _, intensity, u = plane_setup(seed=7)
-        r, c = hessian_diagonals("LS", u, plane, grid, intensity, 1e-3)
+        r, c = hessian_diagonals("LS", diversity_forward(u, plane, grid),
+                                 intensity, 1e-3)
         H = dense_hessian(r, c, plane_matrix(plane, grid))
         assert np.abs(H - H.conj().T).max() < 1e-12
         assert np.allclose(structured_eigenvalues(r, c, "LS").eigenvalues,
@@ -184,7 +190,8 @@ class TestWeylBounds:
         H_total = np.zeros((2 * n * n, 2 * n * n), dtype=complex)
         maxima, minima = [], []
         for plane, intensity in zip(planes, data):
-            r, c = hessian_diagonals("MLP", u, plane, grid, intensity, eps)
+            r, c = hessian_diagonals("MLP", diversity_forward(u, plane, grid),
+                                     intensity, eps)
             H = dense_hessian(r, c, plane_matrix(plane, grid))
             H_total += H
             ev = np.linalg.eigvalsh(H)

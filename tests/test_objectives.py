@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from phasediversity.experiments import initial_guess
 from phasediversity.forward import (
     DiversityPlan,
     PupilGrid,
@@ -17,8 +18,10 @@ from phasediversity.objectives import (
     hessian_diagonals,
     objective_floor,
 )
+from phasediversity.optimizers import SolverConfig, solve
+from phasediversity.problems import add_poisson_noise, build_problem
 
-from conftest import defocus_phase, random_complex
+from conftest import defocus_phase, objective_floor_oracle, random_complex
 
 
 def full_grid(n):
@@ -80,6 +83,72 @@ class TestValues:
             for _ in range(20):
                 u = random_complex(rng, (8, 8))
                 assert DataMisfit(spec).value(u) >= floor - 1e-9
+
+
+class TestFloor:
+    """``objective_floor`` against the hand-derived per-model minima."""
+
+    @staticmethod
+    def floor_cases(model, eps):
+        inst = build_problem("zernike", 16, seed=0)
+        noisy = add_poisson_noise(inst.data, 20.0, seed=1)
+        e2 = eps * eps
+        rng = np.random.default_rng(2)
+        # pixels at 0, inside (0, eps^2), at eps^2 and above it
+        edge = np.concatenate([[0.0, 0.0, 1e-3 * e2, 0.5 * e2, 0.999 * e2, e2],
+                               e2 * rng.uniform(0.0, 1.0, 26),
+                               rng.uniform(0.0, 2.0, 32)]).reshape(8, 8)
+        yield ObjectiveSpec(model, eps, inst.plan, inst.data, inst.grid)
+        yield ObjectiveSpec(model, eps, inst.plan, noisy, inst.grid)
+        yield ObjectiveSpec(model, eps, DiversityPlan.from_defocus((1.0,)),
+                            MeasurementSet([edge]), full_grid(8))
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-3, 0.1])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_hand_derived_minima(self, model, eps):
+        for spec in self.floor_cases(model, eps):
+            got, want = objective_floor(spec), objective_floor_oracle(spec)
+            if model == "LS":
+                # the plane terms compute -I - eps^2 as (I - eps^2) - 2 sqrt(I)^2
+                assert abs(got - want) <= 1e-15 * abs(want)
+            else:
+                assert got == want
+
+
+def test_solve_applies_planes_only_inside_data_misfit(monkeypatch):
+    # the public plane operators refuse every call, in every module that
+    # holds them, as the benchmark tracer wraps them
+    import importlib
+    import pkgutil
+
+    import phasediversity
+    from phasediversity import forward
+
+    inst = build_problem("zernike", 16, seed=0)
+    spec = ObjectiveSpec("LS", 1e-14, inst.plan, inst.data, inst.grid)
+    originals = {name: getattr(forward, name)
+                 for name in ("diversity_forward", "diversity_adjoint")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public plane operator ran on the solve path")
+
+    modules = [phasediversity] + [
+        importlib.import_module(f"phasediversity.{info.name}")
+        for info in pkgutil.iter_modules(phasediversity.__path__)
+        if info.name != "__main__"]
+    for module in modules:
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        forward.diversity_forward(inst.truth, inst.plan.planes[1], inst.grid)
+
+    z0 = initial_guess(inst.grid.mask, 0)
+    for config in (SolverConfig(method="TN", tn_cg_max=5, max_iters=5),
+                   SolverConfig(method="LBFGS", max_iters=20)):
+        _, trace = solve(DataMisfit(spec), config, z0, truth=inst.truth)
+        assert trace.iterations > 0
+    assert DataMisfit(spec).value(inst.truth) >= objective_floor(spec)
 
 
 class TestGradient:
@@ -203,8 +272,8 @@ def test_hessian_action_bit_identical_to_its_definition(model):
         h = random_complex(rng, (n, n))
         ref = np.zeros_like(h)
         for plane, intensity in zip(spec.plan, spec.data.intensities):
-            r, c = hessian_diagonals(model, u, plane, spec.grid, intensity,
-                                     spec.epsilon)
+            r, c = hessian_diagonals(model, diversity_forward(u, plane, spec.grid),
+                                     intensity, spec.epsilon)
             Fh = diversity_forward(h, plane, spec.grid)
             ref += diversity_adjoint(r * Fh + c * np.conj(Fh), plane, spec.grid)
         got = hess(h)
@@ -302,7 +371,7 @@ class TestValidation:
 
     def test_amplitudes_are_sqrt_of_intensities(self):
         data = MeasurementSet([np.array([[4.0, 9.0]])])
-        assert np.allclose(data.amplitudes[0] ** 2, data.intensities[0])
+        assert np.array_equal(data.amplitudes[0] ** 2, data.intensities[0])
 
     def test_epsilon_must_be_positive(self):
         spec, _ = make_spec("LS")

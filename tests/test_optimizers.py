@@ -5,7 +5,6 @@ from phasediversity.fields import _DOT_BLOCK
 from phasediversity.forward import DiversityPlan
 from phasediversity.objectives import DataMisfit, MeasurementSet, ObjectiveSpec
 from phasediversity.optimizers import (
-    FunctionObjective,
     LbfgsMemory,
     LineSearchError,
     RunTrace,
@@ -20,7 +19,7 @@ from phasediversity.optimizers import (
 )
 from phasediversity.problems import build_problem
 
-from conftest import random_complex
+from conftest import FunctionObjective, random_complex
 
 
 def shifted_quadratic(a):
