@@ -22,7 +22,6 @@ from .hessian import (
     SpectrumReport,
     closed_form_spectrum,
     clustering_comparison,
-    hessian_diagonals,
     lipschitz_bound,
     structured_eigenvalues,
 )
@@ -31,6 +30,7 @@ from .objectives import (
     DataMisfit,
     MeasurementSet,
     ObjectiveSpec,
+    hessian_diagonals,
     objective_floor,
 )
 from .optimizers import (

@@ -30,7 +30,7 @@ import numpy as np
 from .fields import (atomic_open, format_floats, key_value_lines,
                      parse_bool, parse_floats, parse_key_values,
                      require_same_shape)
-from .forward import DEFOCUS, DiversityPlan, diversity_forward
+from .forward import DEFOCUS, diversity_forward
 from .hessian import (
     clustering_comparison,
     closed_form_spectrum,
@@ -41,7 +41,6 @@ from .objectives import (
     DEFAULT_EPSILON,
     MODELS,
     DataMisfit,
-    MeasurementSet,
     ObjectiveSpec,
     hessian_diagonals,
     objective_floor,
@@ -273,21 +272,6 @@ def _objective_spec(config: ExperimentConfig,
                          instance.plan, instance.data, instance.grid)
 
 
-def _projection_planes(instance: ProblemInstance):
-    """Defocus planes and their data for the projection baseline.
-
-    The alternating-projection baseline cycles over the diversity
-    (transform-domain) moduli; the pupil amplitude measurement is an
-    object-domain constraint and is left to the misfit solvers.
-    """
-    pairs = [(p, i) for p, i in zip(instance.plan, instance.data.intensities)
-             if p.kind == DEFOCUS]
-    if len(pairs) < 2:
-        raise ConfigError("projection baseline needs at least two defocus planes")
-    return (DiversityPlan([p for p, _ in pairs]),
-            MeasurementSet([i for _, i in pairs]))
-
-
 def reconcile_noise(config: ExperimentConfig,
                     instance: ProblemInstance) -> ProblemInstance:
     """``instance`` with the config's photon noise added to its data, the
@@ -296,8 +280,11 @@ def reconcile_noise(config: ExperimentConfig,
     meta); ``_prepare`` checks that the config agrees with the instance."""
     if config.snr is None or "noise.snr" in instance.meta:
         return instance
-    return replace(instance,
-                   data=add_poisson_noise(instance.data, config.snr, config.noise_seed),
+    try:
+        data = add_poisson_noise(instance.data, config.snr, config.noise_seed)
+    except ValueError as exc:
+        raise ConfigError(f"noise.snr = {config.snr}: {exc}") from exc
+    return replace(instance, data=data,
                    meta={**instance.meta, "noise.snr": float(config.snr),
                          "noise.seed": int(config.noise_seed)})
 
@@ -318,10 +305,11 @@ def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     try:
         instance = reconcile_noise(config, instance)
         _objective_spec(config, instance)
-        if config.solver.method == "MISELL":
-            _projection_planes(instance)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if (config.solver.method == "MISELL"
+            and sum(p.kind == DEFOCUS for p in instance.plan) < 2):
+        raise ConfigError("the projection baseline needs at least two defocus planes")
     wants = config.to_flat()
     own = {k: str(v) for k, v in wants.items() if not k.startswith(_INSTANCE)}
     meta = {k: str(v) for k, v in instance.meta.items()
@@ -344,11 +332,9 @@ def run_single(config: ExperimentConfig, instance: ProblemInstance,
     z0 = initial_guess(instance.grid.mask, seed)
     spec = _objective_spec(config, instance)
 
-    projection = None
-    if config.solver.method == "MISELL":
-        projection = _projection_planes(instance)
-        plan, data = projection
-        _, trace = misell_iterate(z0, plan, data, instance.grid,
+    misell = config.solver.method == "MISELL"
+    if misell:
+        _, trace = misell_iterate(z0, instance.plan, instance.data, instance.grid,
                                   config.solver.max_iters, truth=instance.truth)
     else:
         _, trace = solve(DataMisfit(spec), config.solver, z0, truth=instance.truth)
@@ -365,10 +351,10 @@ def run_single(config: ExperimentConfig, instance: ProblemInstance,
         "min_rms": float(np.nanmin(trace.rms_values)),
     }
     if config.morozov:
-        if projection is not None:
+        if misell:
             # the projection trace records the nonnegative modulus residual
-            plan, data = projection
-            level = modulus_residual(instance.truth, plan, data, instance.grid)
+            level = modulus_residual(instance.truth, instance.plan,
+                                     instance.data, instance.grid)
             floor = 0.0
         else:
             level = DataMisfit(spec).value(instance.truth)
@@ -548,16 +534,14 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
         models = {}
         Fu = diversity_forward(u, plane, instance.grid)
         for model in MODELS:
-            report = closed_form_spectrum(model, u, plane, instance.grid,
-                                          intensity, config.epsilon)
+            report = closed_form_spectrum(model, Fu, intensity, config.epsilon)
             r, c = hessian_diagonals(model, Fu, intensity, config.epsilon)
             dense = np.sort(np.linalg.eigvalsh(dense_hessian(r, c, U)))
             entry = report.to_dict()
             entry["dense_max_deviation"] = float(
                 np.abs(report.eigenvalues - dense).max())
             models[model] = entry
-        clustering = clustering_comparison(u, plane, instance.grid,
-                                           intensity, config.epsilon)
+        clustering = clustering_comparison(Fu, intensity, config.epsilon)
         planes.append({
             "plane": plane.kind if plane.kind != DEFOCUS
             else f"defocus {format_floats([plane.defocus_waves])}",

@@ -47,8 +47,11 @@ def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def require_intensity(arr: np.ndarray) -> np.ndarray:
-    """Validate an intensity-role field: real valued and elementwise >= 0."""
+    """Validate an intensity-role field: real valued, finite and elementwise
+    >= 0."""
     arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("intensity field has non-finite entries")
     if arr.size and arr.min() < 0:
         raise ValueError("intensity field has negative entries")
     return arr

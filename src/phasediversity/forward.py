@@ -48,6 +48,8 @@ class PlaneSpec:
     def __post_init__(self):
         if self.kind not in (AMPLITUDE, DEFOCUS):
             raise ValueError(f"unknown plane kind {self.kind!r}")
+        if not np.isfinite(self.defocus_waves):
+            raise ValueError(f"defocus must be finite, got {self.defocus_waves}")
 
     @classmethod
     def amplitude(cls) -> "PlaneSpec":

@@ -8,12 +8,15 @@ Hessian
 
 acting on (h; conj(h)), where U is the plane's unitary operator and
 (r, c) are the same per-pixel coefficients that drive the matrix-free
-Hessian action (``objectives.hessian_diagonals``, re-exported here).  A block-diagonal unitary similarity reduces any such
-matrix to [[diag(r), diag(c)], [diag(conj(c)), diag(r)]], so the
-spectrum is exactly {r_i + |c_i|, r_i - |c_i|} regardless of U.
+Hessian action (``objectives.hessian_diagonals``).  A block-diagonal
+unitary similarity reduces any such matrix to [[diag(r), diag(c)],
+[diag(conj(c)), diag(r)]], so the spectrum is exactly
+{r_i + |c_i|, r_i - |c_i|} regardless of U.
 
-Dense assembly is a verification tool, limited to grids of at most
-``DENSE_PIXEL_LIMIT`` pixels; solvers never touch it.
+The spectra are pointwise in the plane's transform F(u); only
+:func:`plane_matrix` takes a plane and a grid.  Dense assembly is a
+verification tool, limited to ``DENSE_PIXEL_LIMIT`` pixels; solvers
+never touch it.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forward import DiversityPlan, PlaneSpec, PupilGrid, diversity_forward
-from .objectives import MeasurementSet, hessian_diagonals
+from .forward import PlaneSpec, PupilGrid, diversity_forward
+from .objectives import ObjectiveSpec
 
 __all__ = [
     "DENSE_PIXEL_LIMIT",
     "SpectrumReport",
-    "hessian_diagonals",
     "structured_eigenvalues",
     "closed_form_spectrum",
     "plane_matrix",
@@ -76,16 +78,14 @@ def structured_eigenvalues(r: np.ndarray, c: np.ndarray,
     return SpectrumReport.from_eigenvalues(np.concatenate([r + ac, r - ac]), model)
 
 
-def closed_form_spectrum(model: str, u: np.ndarray, plane: PlaneSpec,
-                         grid: PupilGrid, intensity: np.ndarray,
+def closed_form_spectrum(model: str, Fu: np.ndarray, intensity: np.ndarray,
                          eps: float) -> SpectrumReport:
-    """Eigenvalues from the per-pixel closed forms.
+    """Per-pixel closed-form eigenvalues at the transform ``Fu``, K = |Fu|^2:
 
     MLP: 1 + (K - eps^2) I / (K + eps^2)^2  and  1 - I / (K + eps^2);
     LS:  1 - eps^2 M / (K + eps^2)^(3/2)    and  1 - M / sqrt(K + eps^2);
     LSI (derived by the same r +/- |c| rule): 3K - I and K - I.
     """
-    Fu = diversity_forward(u, plane, grid)
     K = np.abs(Fu.ravel()) ** 2
     I = np.asarray(intensity, dtype=float).ravel()
     e2 = eps * eps
@@ -149,23 +149,18 @@ class ClusteringReport:
     margin_pixel_exists: bool
 
 
-def clustering_comparison(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
-                          intensity: np.ndarray, eps: float,
-                          margin: float | None = None) -> ClusteringReport:
-    """Compare the LS spectrum (scaled by two) against the Poisson-model one.
+def clustering_comparison(Fu: np.ndarray, intensity: np.ndarray,
+                          eps: float) -> ClusteringReport:
+    """Scaled-by-two LS spectrum against the Poisson-model one at ``Fu``.
 
     Guaranteed facts are enforced: 2 max(LS) never exceeds 2, and the
-    Poisson-model maximum exceeds 2 whenever some pixel has
-    K_i >= eps and I_i - K_i >= margin with margin > eps (the extra
+    Poisson-model maximum exceeds 2 whenever some pixel has K_i >= eps and
+    I_i - K_i >= margin, with the fixed margin max(1e-6, 10 eps) > eps (the
     K_i >= eps guard makes the implication sound for dark pixels).
     """
-    if margin is None:
-        margin = max(1e-6, 10.0 * eps)
-    if not margin > eps:
-        raise ValueError("margin must exceed eps")
-    mlp = closed_form_spectrum("MLP", u, plane, grid, intensity, eps)
-    ls = closed_form_spectrum("LS", u, plane, grid, intensity, eps)
-    Fu = diversity_forward(u, plane, grid)
+    margin = max(1e-6, 10.0 * eps)
+    mlp = closed_form_spectrum("MLP", Fu, intensity, eps)
+    ls = closed_form_spectrum("LS", Fu, intensity, eps)
     K = np.abs(Fu.ravel()) ** 2
     I = np.asarray(intensity, dtype=float).ravel()
     margin_pixel = bool(np.any((K >= eps) & (I - K >= margin)))
@@ -182,20 +177,18 @@ def clustering_comparison(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
                             contained, margin_pixel)
 
 
-def lipschitz_bound(model: str, data: MeasurementSet, plan: DiversityPlan,
-                    eps: float) -> float:
-    """Global gradient-Lipschitz constant over all planes.
+def lipschitz_bound(spec: ObjectiveSpec) -> float:
+    """Global gradient-Lipschitz constant of ``spec``'s misfit over all planes.
 
     L + sum_m ||I_m||_inf / eps^2 for the Poisson model and
     L + sum_m ||M_m||_inf / eps for amplitude least squares, with L the
     plane count.  The intensity least-squares misfit grows quartically,
     so it admits no global constant and is rejected.
     """
-    if len(data) != len(plan):
-        raise ValueError("data/plan plane count mismatch")
-    L = float(len(plan))
-    if model == "MLP":
-        return L + sum(float(i.max()) for i in data.intensities) / (eps * eps)
-    if model == "LS":
-        return L + sum(float(np.sqrt(i.max())) for i in data.intensities) / eps
-    raise ValueError(f"no global Lipschitz bound for model {model!r}")
+    eps = spec.epsilon
+    L = float(len(spec.data))
+    if spec.model == "MLP":
+        return L + sum(float(i.max()) for i in spec.data.intensities) / (eps * eps)
+    if spec.model == "LS":
+        return L + sum(float(m.max()) for m in spec.data.amplitudes) / eps
+    raise ValueError(f"no global Lipschitz bound for model {spec.model!r}")

@@ -85,9 +85,10 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown misfit model {self.model!r}")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be a finite number > 0, "
-                             f"got {self.epsilon}")
+        eps = float(self.epsilon)
+        if not (eps > 0 and 0 < eps * eps < np.inf):
+            raise ValueError("epsilon must be a number > 0 whose square is "
+                             f"finite and > 0, got {self.epsilon}")
         if len(self.data) != len(self.plan):
             raise ValueError(
                 f"{len(self.data)} data planes for {len(self.plan)} plan planes")

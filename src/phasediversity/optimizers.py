@@ -40,6 +40,7 @@ from .fields import (
     parse_key_values,
 )
 from .forward import (
+    DEFOCUS,
     DiversityPlan,
     PupilGrid,
     TransformCounter,
@@ -458,12 +459,17 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
         z, f, g, alpha = ls.z_new, ls.f_new, ls.g_new, ls.alpha
 
 
+def _defocus_amplitudes(plan: DiversityPlan, data: MeasurementSet):
+    """(plane, measured amplitude) of each defocus plane of ``plan``."""
+    return [(p, a) for p, a in zip(plan, data.amplitudes) if p.kind == DEFOCUS]
+
+
 def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
                      grid: PupilGrid,
                      counter: TransformCounter | None = None) -> float:
-    """sum_m || |F_m u| - M_m ||^2 over the planes of ``plan``."""
+    """sum_m || |F_m u| - M_m ||^2 over the defocus planes of ``plan``."""
     total = 0.0
-    for plane, amp in zip(plan, data.amplitudes):
+    for plane, amp in _defocus_amplitudes(plan, data):
         w = diversity_forward(u, plane, grid, counter=counter)
         total += float(np.sum((np.abs(w) - amp) ** 2))
     return total
@@ -472,26 +478,29 @@ def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
 def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
                    grid: PupilGrid, iters: int,
                    truth: np.ndarray | None = None):
-    """Cyclic modulus projections over all planes (one sweep per iteration).
+    """Cyclic modulus projections over the defocus planes of ``plan`` (one
+    sweep per iteration).
 
-    For each plane in order: transform, replace the modulus by the
+    For each defocus plane in order: transform, replace the modulus by the
     measured amplitude (pixels with zero modulus are left unchanged),
     transform back.  The recorded f column is the modulus residual
     sum_m || |F_m u| - M_m ||^2 accumulated over the sweep as each plane
-    is visited; gradient and alpha columns are not applicable (NaN).
+    is visited; gradient and alpha columns are not applicable (NaN).  The
+    pupil amplitude plane is an object-domain constraint, left to the
+    misfit solvers.
     """
-    if len(plan) < 2:
-        raise ValueError("the projection baseline needs at least two planes")
+    planes = _defocus_amplitudes(plan, data)
+    if len(planes) < 2:
+        raise ValueError("the projection baseline needs at least two defocus planes")
     counter = TransformCounter()
     u = np.array(u0, dtype=complex)
-    amplitudes = data.amplitudes
     trace = RunTrace(method="MISELL")
     trace.append(TraceRecord(0, modulus_residual(u, plan, data, grid, counter),
                              float("nan"), float("nan"), _rms_or_nan(truth, u),
                              counter.count, False))
     for k in range(1, iters + 1):
         sweep_residual = 0.0
-        for plane, amp in zip(plan, amplitudes):
+        for plane, amp in planes:
             v = diversity_forward(u, plane, grid, counter=counter)
             mod = np.abs(v)
             sweep_residual += float(np.sum((mod - amp) ** 2))

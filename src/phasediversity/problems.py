@@ -248,12 +248,18 @@ def simulate_measurements(truth: np.ndarray, plan: DiversityPlan,
         [np.abs(diversity_forward(truth, plane, grid)) ** 2 for plane in plan])
 
 
+# numpy's Generator.poisson rejects rates above int64 max - 10 sqrt(int64 max)
+_POISSON_RATE_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def add_poisson_noise(data: MeasurementSet, snr: float, seed: int = 0) -> MeasurementSet:
     """Poisson photon noise calibrated per plane to the requested SNR.
 
     The photon scale s solves ||s I||_2 / sqrt(sum s I) = snr (expected
     noise norm of Poisson counts), counts are drawn at rate s*I and
-    returned as counts/s, so the realized relative error is ~ 1/snr.
+    returned as counts/s, so the realized relative error is ~ 1/snr.  An
+    snr whose largest rate s max(I) is not in (0, ``_POISSON_RATE_MAX``]
+    is rejected before any count is drawn.
     """
     if not snr > 0:
         raise ValueError("snr must be positive")
@@ -266,6 +272,10 @@ def add_poisson_noise(data: MeasurementSet, snr: float, seed: int = 0) -> Measur
             noisy.append(intensity.copy())
             continue
         scale = snr * snr * total / l2sq
+        rate = scale * float(intensity.max())
+        if not 0 < rate <= _POISSON_RATE_MAX:
+            raise ValueError(f"photon rate {rate:.4g} is outside numpy's "
+                             f"Poisson range (0, {_POISSON_RATE_MAX:.4g}]")
         counts = rng.poisson(scale * intensity)
         noisy.append(counts / scale)
     return MeasurementSet(noisy)
@@ -336,6 +346,9 @@ def build_problem(ptype: str, n: int, seed: int = 0,
     if unknown:
         raise ValueError(f"unknown {ptype} parameters: {sorted(unknown)}")
     opts.update(params)
+    for key, value in opts.items():
+        if not np.isfinite(value):
+            raise ValueError(f"problem.{key} must be finite, got {value}")
 
     if ptype == "zernike":
         grid = annular_pupil(n, opts["r_inner"], opts["r_outer"])

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 import phasediversity.optimizers as opt
-from phasediversity.experiments import _projection_planes, initial_guess
+from phasediversity.experiments import initial_guess
 from phasediversity.forward import DiversityPlan, diversity_forward
 from phasediversity.hessian import (
     clustering_comparison,
     closed_form_spectrum,
     dense_hessian,
-    hessian_diagonals,
     lipschitz_bound,
     plane_matrix,
     structured_eigenvalues,
@@ -28,6 +27,7 @@ from phasediversity.objectives import (
     DataMisfit,
     MeasurementSet,
     ObjectiveSpec,
+    hessian_diagonals,
 )
 from phasediversity.optimizers import SolverConfig, misell_iterate, solve
 from phasediversity.problems import add_poisson_noise, build_problem
@@ -227,13 +227,12 @@ def test_criterion_04_closed_forms_match_assembled_hessians():
     worst_hvp = 0.0
     for plane, intensity in zip(inst.plan, inst.data.intensities):
         U = plane_matrix(plane, inst.grid)
+        Fu = diversity_forward(u, plane, inst.grid)
         for model in MODELS:
-            r, c = hessian_diagonals(model, diversity_forward(u, plane, inst.grid),
-                                     intensity, eps)
+            r, c = hessian_diagonals(model, Fu, intensity, eps)
             H = dense_hessian(r, c, U)
             dense = np.sort(np.linalg.eigvalsh(H))
-            closed = closed_form_spectrum(model, u, plane, inst.grid,
-                                          intensity, eps).eigenvalues
+            closed = closed_form_spectrum(model, Fu, intensity, eps).eigenvalues
             worst_eig = max(worst_eig, float(np.abs(closed - dense).max()))
             if model in ("MLP", "LS"):
                 spec = ObjectiveSpec(model, eps, DiversityPlan([plane]),
@@ -260,7 +259,8 @@ def test_criterion_05_ls_spectrum_clusters_inside_mlp():
     ls_max_ok = True
     for _ in range(100):
         u = inst.truth + 0.05 * random_complex(rng, inst.truth.shape)
-        rep = clustering_comparison(u, plane, inst.grid, intensity, eps)
+        rep = clustering_comparison(diversity_forward(u, plane, inst.grid),
+                                    intensity, eps)
         ls_max_ok = ls_max_ok and rep.ls_max_times2 <= 2.0 + 1e-12
         contained += rep.ls_interval_contained
     report(5, ls_max_ok and contained >= 95,
@@ -319,11 +319,11 @@ def test_criterion_08_model_ordering(models_batch):
 
 
 def test_criterion_09_misell_stagnation(bench32):
-    plan, data = _projection_planes(bench32)
     stagnant = 0
     for s in range(10):
-        _, trace = misell_iterate(initial_guess(bench32.grid.mask, s), plan,
-                                  data, bench32.grid, 500, truth=bench32.truth)
+        _, trace = misell_iterate(initial_guess(bench32.grid.mask, s),
+                                  bench32.plan, bench32.data, bench32.grid, 500,
+                                  truth=bench32.truth)
         stagnant += trace.records[-1].rms > 0.9
     report(9, stagnant >= 8,
            f"500 modulus-projection sweeps leave rms>0.9 in {stagnant}/10 "
@@ -379,7 +379,7 @@ def test_criterion_12_lipschitz_bounds():
             spec = fd_instances()[0]
             spec = ObjectiveSpec(model, eps, spec.plan, spec.data, spec.grid)
             obj = DataMisfit(spec)
-            bound = lipschitz_bound(model, spec.data, spec.plan, eps)
+            bound = lipschitz_bound(spec)
             for _ in range(100):
                 u = random_complex(rng, (8, 8))
                 v = random_complex(rng, (8, 8))

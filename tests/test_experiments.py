@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from phasediversity.experiments import (
     simulate,
 )
 from phasediversity.fields import field_from_csv
-from phasediversity.forward import AMPLITUDE
+from phasediversity.forward import AMPLITUDE, DEFOCUS
 from phasediversity.objectives import DataMisfit, ObjectiveSpec
 from phasediversity.optimizers import RunTrace
 from phasediversity.problems import load_instance
@@ -529,6 +530,21 @@ class TestAnalyzeHessian:
         with pytest.raises(ConfigError):
             run_analyze_hessian(cfg, inst, "nope.npy", tmp_path / "hx")
 
+    def test_transforms_the_point_once_per_plane(self, tmp_path, monkeypatch):
+        # each defocus plane's dense matrix takes one transform per pixel
+        # (the amplitude plane's none), then the point is transformed once
+        cfg = small_config(**{"problem.n": 8})
+        inst = build_instance(cfg)
+        calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            def counted(*args, _original=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        run_analyze_hessian(cfg, inst, "random", tmp_path / "hx")
+        defocus_planes = sum(p.kind == DEFOCUS for p in inst.plan)
+        assert len(calls) == defocus_planes * (8 * 8 + 1) == 130
+
 
 class TestCli:
     def test_simulate_solve_pipeline(self, tmp_path, capsys):
@@ -640,6 +656,8 @@ class TestCli:
     @pytest.mark.parametrize("setting", ["objective.epsilon=0",
                                          "objective.epsilon=-1",
                                          "objective.epsilon=inf",
+                                         "objective.epsilon=1e300",
+                                         "objective.epsilon=1e-170",
                                          "noise.snr=0", "noise.snr=-1",
                                          "solver.tn_cg_max=0",
                                          "solver.tn_cg_max=-1",
@@ -689,6 +707,26 @@ class TestCli:
     def test_infinite_snr_named_in_error(self, tmp_path, capsys, command):
         self.config_error_names(tmp_path, capsys, command, ["noise.snr=inf"],
                                 "noise.snr")
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    @pytest.mark.parametrize("snr", ["1e10", "1e200", "1e-200"])
+    def test_snr_outside_poisson_range_named_in_error(self, tmp_path, capsys,
+                                                      command, snr):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.config_error_names(tmp_path, capsys, command,
+                                    [f"noise.snr={snr}"], "noise.snr")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("settings, key", [
+        (["plan.defocus=nan"], "defocus"),
+        (["plan.defocus=inf"], "defocus"),
+        (["problem.zernike_coeff=nan"], "problem.zernike_coeff"),
+        (["problem.type=vonkarman", "problem.r0=nan"], "problem.r0"),
+    ], ids=["defocus-nan", "defocus-inf", "zernike_coeff-nan", "r0-nan"])
+    def test_non_finite_instance_value_named_in_error(self, tmp_path, capsys,
+                                                      settings, key):
+        self.config_error_names(tmp_path, capsys, "simulate", settings, key)
 
     def test_intensity_csvs_parse_with_headers(self, tmp_path):
         inst_dir = tmp_path / "inst"

@@ -14,7 +14,6 @@ from phasediversity.hessian import (
     clustering_comparison,
     closed_form_spectrum,
     dense_hessian,
-    hessian_diagonals,
     lipschitz_bound,
     plane_matrix,
     structured_eigenvalues,
@@ -24,6 +23,7 @@ from phasediversity.objectives import (
     DataMisfit,
     MeasurementSet,
     ObjectiveSpec,
+    hessian_diagonals,
 )
 
 from conftest import random_complex, structured_hermitian_matrix
@@ -111,14 +111,16 @@ class TestStructuredEigenvalues:
 class TestClosedFormSpectrum:
     def test_mlp_limit_at_consistent_point(self):
         grid, plane, truth, intensity, _ = plane_setup()
-        report = closed_form_spectrum("MLP", truth, plane, grid, intensity, 1e-12)
+        report = closed_form_spectrum("MLP", diversity_forward(truth, plane, grid),
+                                      intensity, 1e-12)
         half = len(report.eigenvalues) // 2
         assert np.abs(report.eigenvalues[:half]).max() < 1e-8
         assert np.abs(report.eigenvalues[half:] - 2.0).max() < 1e-8
 
     def test_ls_limit_at_consistent_point(self):
         grid, plane, truth, intensity, _ = plane_setup()
-        report = closed_form_spectrum("LS", truth, plane, grid, intensity, 1e-12)
+        report = closed_form_spectrum("LS", diversity_forward(truth, plane, grid),
+                                      intensity, 1e-12)
         half = len(report.eigenvalues) // 2
         assert np.abs(report.eigenvalues[:half]).max() < 1e-8
         assert np.abs(report.eigenvalues[half:] - 1.0).max() < 1e-8
@@ -131,19 +133,19 @@ class TestClosedFormSpectrum:
             plane = PlaneSpec.amplitude()
             intensity = np.abs(u) ** 2 * 0.5 + 0.1
         eps = 1e-2
-        report = closed_form_spectrum(model, u, plane, grid, intensity, eps)
-        r, c = hessian_diagonals(model, diversity_forward(u, plane, grid),
-                                 intensity, eps)
+        Fu = diversity_forward(u, plane, grid)
+        report = closed_form_spectrum(model, Fu, intensity, eps)
+        r, c = hessian_diagonals(model, Fu, intensity, eps)
         dense = np.sort(np.linalg.eigvalsh(
             dense_hessian(r, c, plane_matrix(plane, grid))))
         assert np.abs(report.eigenvalues - dense).max() < 1e-9
 
     def test_equals_structured_route(self):
         grid, plane, _, intensity, u = plane_setup(seed=5)
+        Fu = diversity_forward(u, plane, grid)
         for model in MODELS:
-            cf = closed_form_spectrum(model, u, plane, grid, intensity, 1e-4)
-            r, c = hessian_diagonals(model, diversity_forward(u, plane, grid),
-                                     intensity, 1e-4)
+            cf = closed_form_spectrum(model, Fu, intensity, 1e-4)
+            r, c = hessian_diagonals(model, Fu, intensity, 1e-4)
             st = structured_eigenvalues(r, c)
             assert np.abs(cf.eigenvalues - st.eigenvalues).max() < 1e-11
 
@@ -153,8 +155,24 @@ class TestClosedFormSpectrum:
         Fu = diversity_forward(u, plane, grid)
         dominated = np.abs(Fu) ** 2 * 0.9
         for model in ("MLP", "LS"):
-            report = closed_form_spectrum(model, u, plane, grid, dominated, 1e-8)
+            report = closed_form_spectrum(model, Fu, dominated, 1e-8)
             assert report.lambda_min >= -1e-12
+
+
+def test_spectra_are_pointwise_in_the_transform(monkeypatch):
+    # given F(u), the diagonals, spectra and clustering check transform nothing
+    grid, plane, _, intensity, u = plane_setup(seed=11)
+    Fu = diversity_forward(u, plane, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform ran")
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    for model in MODELS:
+        hessian_diagonals(model, Fu, intensity, 1e-3)
+        closed_form_spectrum(model, Fu, intensity, 1e-3)
+    clustering_comparison(Fu, intensity, 1e-3)
 
 
 class TestDenseGuard:
@@ -205,7 +223,8 @@ class TestWeylBounds:
 class TestClustering:
     def test_scaled_extremes_at_consistent_point(self):
         grid, plane, truth, intensity, _ = plane_setup(seed=9)
-        report = clustering_comparison(truth, plane, grid, intensity, 1e-12)
+        report = clustering_comparison(diversity_forward(truth, plane, grid),
+                                       intensity, 1e-12)
         assert report.ls_max_times2 == pytest.approx(2.0, abs=1e-8)
         assert report.mlp_max == pytest.approx(2.0, abs=1e-8)
 
@@ -217,36 +236,34 @@ class TestClustering:
         u = np.full((4, 4), 0.5 + 0.0j)
         intensity = np.ones((4, 4))
         eps = 1e-10
-        report = closed_form_spectrum("MLP", u, plane, grid, intensity, eps)
+        Fu = diversity_forward(u, plane, grid)
+        report = closed_form_spectrum("MLP", Fu, intensity, eps)
         assert report.lambda_max == pytest.approx(5.0, rel=1e-6)
-        cluster = clustering_comparison(u, plane, grid, intensity, eps)
+        cluster = clustering_comparison(Fu, intensity, eps)
         assert cluster.margin_pixel_exists
         assert cluster.mlp_max > 2.0
         assert cluster.ls_max_times2 <= 2.0 + 1e-12
-
-    def test_margin_must_exceed_eps(self):
-        grid, plane, truth, intensity, _ = plane_setup(seed=10)
-        with pytest.raises(ValueError):
-            clustering_comparison(truth, plane, grid, intensity, 1e-3, margin=1e-4)
 
 
 class TestLipschitzBound:
     def test_single_plane_unit_intensity(self):
         plan = DiversityPlan([PlaneSpec.defocus(1.0)])
         data = MeasurementSet([np.ones((2, 2))])
-        assert lipschitz_bound("MLP", data, plan, 1.0) == pytest.approx(2.0)
+        spec = ObjectiveSpec("MLP", 1.0, plan, data, full_grid(2))
+        assert lipschitz_bound(spec) == pytest.approx(2.0)
 
     def test_zero_data_gives_plane_count(self):
         plan = DiversityPlan.from_defocus([-3.0, 3.0], amplitude_plane=True)
         data = MeasurementSet([np.zeros((2, 2))] * 3)
-        assert lipschitz_bound("MLP", data, plan, 1e-2) == pytest.approx(3.0)
-        assert lipschitz_bound("LS", data, plan, 1e-2) == pytest.approx(3.0)
+        for model in ("MLP", "LS"):
+            spec = ObjectiveSpec(model, 1e-2, plan, data, full_grid(2))
+            assert lipschitz_bound(spec) == pytest.approx(3.0)
 
     def test_lsi_has_no_global_bound(self):
         plan = DiversityPlan([PlaneSpec.defocus(1.0)])
         data = MeasurementSet([np.ones((2, 2))])
         with pytest.raises(ValueError):
-            lipschitz_bound("LSI", data, plan, 1e-2)
+            lipschitz_bound(ObjectiveSpec("LSI", 1e-2, plan, data, full_grid(2)))
 
 
 class TestSpectrumReport:

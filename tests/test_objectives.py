@@ -353,7 +353,7 @@ class TestLipschitz:
     def test_sampled_difference_quotients_below_bound(self, model):
         spec, _ = make_spec(model, eps=1e-2, seed=22)
         obj = DataMisfit(spec)
-        bound = lipschitz_bound(model, spec.data, spec.plan, spec.epsilon)
+        bound = lipschitz_bound(spec)
         rng = np.random.default_rng(23)
         for _ in range(100):
             u = random_complex(rng, (8, 8))
@@ -368,6 +368,11 @@ class TestValidation:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
             MeasurementSet([np.array([[1.0, -0.5]])])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_intensity_rejected(self, bad):
+        with pytest.raises(ValueError):
+            MeasurementSet([np.ones((1, 2)), np.array([[1.0, bad]])])
 
     def test_amplitudes_are_sqrt_of_intensities(self):
         data = MeasurementSet([np.array([[4.0, 9.0]])])

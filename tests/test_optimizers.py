@@ -427,6 +427,11 @@ class TestMisell:
         data = MeasurementSet([inst.data.intensities[0]])
         with pytest.raises(ValueError):
             misell_iterate(inst.truth, single, data, inst.grid, 2)
+        # the pupil amplitude plane is not a projection plane
+        inst = build_problem("zernike", 8, seed=9, defocus=(3.0,),
+                             amplitude_plane=True)
+        with pytest.raises(ValueError):
+            misell_iterate(inst.truth, inst.plan, inst.data, inst.grid, 2)
 
 
 class TestSolverInfrastructure:
