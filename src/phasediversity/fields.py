@@ -79,12 +79,15 @@ def blocked_vdot(a: np.ndarray, b: np.ndarray):
     return total
 
 
-def aligned_rms(u: np.ndarray, uhat: np.ndarray) -> float:
+def aligned_rms(u: np.ndarray, uhat: np.ndarray, *,
+                u_norm: float | None = None) -> float:
     """Relative L2 error between ``u`` and ``uhat`` minimized over a global phase.
 
     The minimizing unit factor is c = <u, uhat>/|<u, uhat>|; when the inner
     product vanishes any unit c gives the same residual and c = 1 is used so
-    the result is deterministic.
+    the result is deterministic.  ``u_norm``, when given, is taken as
+    ||u|| = sqrt(Re(u* u)) instead of computing it, for callers that
+    compare many fields against one reference.
 
     Raises
     ------
@@ -94,7 +97,7 @@ def aligned_rms(u: np.ndarray, uhat: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     uhat = np.asarray(uhat, dtype=complex)
     require_same_shape(u, uhat)
-    nu = math.sqrt(blocked_vdot(u, u).real)
+    nu = math.sqrt(blocked_vdot(u, u).real) if u_norm is None else u_norm
     if nu == 0.0:
         raise ValueError("aligned_rms reference field has zero norm")
     ip = blocked_vdot(u, uhat)

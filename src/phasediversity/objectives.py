@@ -18,6 +18,13 @@ diagonals used by the spectrum analysis module.  Each model's per-pixel
 terms are written once, as functions of K, in :func:`_plane_terms`;
 :func:`objective_floor` evaluates them at the K that minimizes each term.
 
+The P planes of a measurement set are stored as one ``(P, n, n)`` stack,
+and :class:`DataMisfit` evaluates them as one: each defocus plane's
+transform is one FFT call that fills one row, every pointwise step is one
+numpy call on the whole stack, and plane values and adjoints are added in
+plan order, so results equal a plane-by-plane evaluation bit for bit.  Its
+work arrays take P times the memory of a plane.
+
 The eps^2 perturbation is added to intensity inside log and sqrt (not
 eps to amplitude); the first LS term keeps K unperturbed.
 """
@@ -55,18 +62,28 @@ DEFAULT_EPSILON = 1e-14
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Per-plane observed intensities and the amplitudes sqrt(I), computed
-    once when the set is built."""
+    """Observed intensities of every plane, stored as one ``(P, n, n)`` stack
+    with the amplitudes sqrt(I) as a second stack, computed once when the set
+    is built.  ``intensities`` and ``amplitudes`` are the stacks' rows, views
+    that share their memory."""
 
     intensities: tuple
     amplitudes: tuple = field(init=False, repr=False, compare=False)
+    intensity_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    amplitude_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, intensities: Sequence[np.ndarray]):
-        ints = tuple(require_intensity(i) for i in intensities)
+        ints = [require_intensity(i) for i in intensities]
         if not ints:
             raise ValueError("a measurement set needs at least one plane")
-        object.__setattr__(self, "intensities", ints)
-        object.__setattr__(self, "amplitudes", tuple(np.sqrt(i) for i in ints))
+        for i in ints[1:]:
+            require_same_shape(ints[0], i)
+        stack = np.stack(ints)
+        amplitude_stack = np.sqrt(stack)
+        object.__setattr__(self, "intensity_stack", stack)
+        object.__setattr__(self, "amplitude_stack", amplitude_stack)
+        object.__setattr__(self, "intensities", tuple(stack))
+        object.__setattr__(self, "amplitudes", tuple(amplitude_stack))
 
     def __len__(self) -> int:
         return len(self.intensities)
@@ -92,8 +109,7 @@ class ObjectiveSpec:
         if len(self.data) != len(self.plan):
             raise ValueError(
                 f"{len(self.data)} data planes for {len(self.plan)} plan planes")
-        for i in self.data.intensities:
-            require_same_shape(i, self.grid.mask)
+        require_same_shape(self.data.intensities[0], self.grid.mask)
 
 
 def hessian_diagonals(model: str, Fu: np.ndarray, intensity: np.ndarray,
@@ -119,43 +135,58 @@ def hessian_diagonals(model: str, Fu: np.ndarray, intensity: np.ndarray,
 
 def _plane_terms(model: str, K: np.ndarray, intensity: np.ndarray,
                  amplitude: np.ndarray, eps: float, work):
-    """Plane misfit value at the predicted intensity K = |F(u)|^2 and the
-    real weight w such that the plane's gradient is F*(F(u) o w).  w is
-    written over ``K``, and the two real arrays ``work`` hold K + eps^2 (for
-    LS, its square root) and the terms, computed once and shared by both."""
+    """Per-plane misfit values at the predicted intensities K = |F(u)|^2 of a
+    ``(P, n, n)`` stack and the real weight w such that plane m's gradient is
+    F_m*(F_m(u) o w[m]).  w is written over ``K``, and the two real stacks
+    ``work`` hold K + eps^2 (for LS, its square root) and the terms, computed
+    once and shared by both.  Each plane's terms are summed as ``np.sum``
+    sums that plane alone."""
     Ke, t = work
     if model == "LSI":
         residual = np.subtract(K, intensity, out=K)
-        return float(0.5 * np.sum(np.square(residual, out=t))), residual
+        return 0.5 * _plane_sums(np.square(residual, out=t)), residual
     np.add(K, eps * eps, out=Ke)
     if model == "MLP":
         np.multiply(intensity, np.log(Ke, out=t), out=t)
-        value = float(np.sum(np.subtract(K, t, out=t)))
+        values = _plane_sums(np.subtract(K, t, out=t))
         w = np.divide(intensity, Ke, out=K)
     else:  # LS
         root = np.sqrt(Ke, out=Ke)
         np.multiply(np.multiply(2.0, root, out=t), amplitude, out=t)
-        value = float(np.sum(np.subtract(K, t, out=t)))
+        values = _plane_sums(np.subtract(K, t, out=t))
         w = np.divide(amplitude, root, out=K)
-    return value, np.subtract(1.0, w, out=w)
+    return values, np.subtract(1.0, w, out=w)
+
+
+def _plane_sums(stack: np.ndarray) -> np.ndarray:
+    """Sum of each row of a contiguous stack, one reduction for all rows."""
+    return stack.reshape(len(stack), -1).sum(axis=1)
+
+
+def _in_plan_order(values: np.ndarray) -> float:
+    """Per-plane values added in plan order as Python floats."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
 
 
 class DataMisfit:
     """Evaluator bundling value, gradient and Hessian action with FFT counting.
 
-    Plane terms are accumulated in plan order so results are deterministic.
-    Each plane's defocus phases are looked up once per instance and ``u`` is
-    checked once per call, then the plane operators run on them directly.
-    Value and gradient run in work arrays allocated once per instance, so an
-    instance serves one caller at a time; the gradient it returns is a fresh
-    array that later evaluations leave alone.
+    All P planes are evaluated as one ``(P, n, n)`` stack: row m holds
+    plane m's transform (one counted FFT for a defocus plane, a copy of
+    ``u`` for the amplitude plane).  The work arrays, one complex and three
+    real stacks, are allocated once per instance, so an instance serves one
+    caller at a time; the gradient it returns is a fresh array that later
+    evaluations leave alone.
     """
 
     def __init__(self, spec: ObjectiveSpec):
         self.spec = spec
         self.counter = TransformCounter()
         self._phases = [_plane_phases(p, spec.grid) for p in spec.plan]
-        shape = spec.grid.mask.shape
+        shape = (len(self._phases), *spec.grid.mask.shape)
         self._field = np.empty(shape, dtype=complex)
         self._work = tuple(np.empty(shape) for _ in range(3))
 
@@ -168,24 +199,35 @@ class DataMisfit:
         require_same_shape(u, self.spec.grid.mask)
         return u
 
+    def _transform(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """F_m(u) of every plane m into row m of the stack ``out``."""
+        for phases, row in zip(self._phases, out):
+            if phases is None:
+                np.copyto(row, u)
+            else:
+                _forward(u, phases, self.counter, row)
+        return out
+
+    def _adjoint_sum(self, v: np.ndarray) -> np.ndarray:
+        """sum_m F_m*(v[m]) in plan order, each adjoint written over its row."""
+        total = np.zeros(v.shape[1:], dtype=complex)
+        for phases, row in zip(self._phases, v):
+            total += _adjoint(row, phases, self.counter, row)
+        return total
+
     def _evaluate(self, u: np.ndarray, gradient: bool):
         """Misfit at ``u`` and, if asked for, its gradient (else ``None``)."""
         spec = self.spec
         u = self._checked(u)
-        grad = np.zeros_like(u) if gradient else None
-        total = 0.0
+        Fu = self._transform(u, self._field)
         K, *work = self._work
-        for phases, intensity, amplitude in zip(
-                self._phases, spec.data.intensities, spec.data.amplitudes):
-            Fu = _forward(u, phases, self.counter, self._field)
-            np.square(np.abs(Fu, out=K), out=K)
-            value, w = _plane_terms(spec.model, K, intensity, amplitude,
-                                    spec.epsilon, work)
-            total += value
-            if gradient:
-                v = np.multiply(Fu, w, out=self._field)
-                grad += _adjoint(v, phases, self.counter, v)
-        return total, grad
+        np.square(np.abs(Fu, out=K), out=K)
+        values, w = _plane_terms(spec.model, K, spec.data.intensity_stack,
+                                 spec.data.amplitude_stack, spec.epsilon, work)
+        value = _in_plan_order(values)
+        if not gradient:
+            return value, None
+        return value, self._adjoint_sum(np.multiply(Fu, w, out=Fu))
 
     def value(self, u: np.ndarray) -> float:
         return self._evaluate(u, False)[0]
@@ -195,30 +237,22 @@ class DataMisfit:
 
     def hessian_operator(self, u: np.ndarray):
         """Hessian action h -> H h at a fixed ``u`` (real-linear in h); the
-        per-plane coefficients cost one transform per plane to build, and
-        each application (one inner CG step) two.  The work arrays are
-        allocated once per build; each application returns a fresh array."""
+        coefficient stacks cost one transform per plane to build, and each
+        application (one inner CG step) two.  The work stacks are allocated
+        once per build; each application returns a fresh array."""
         spec = self.spec
-        u = self._checked(u)
-        cached = [(phases, *hessian_diagonals(
-                      spec.model, _forward(u, phases, self.counter, self._field),
-                      intensity, spec.epsilon))
-                  for phases, intensity in zip(self._phases,
-                                               spec.data.intensities)]
-        Fh_work, rFh, cFh = (np.empty(spec.grid.mask.shape, dtype=complex)
-                             for _ in range(3))
+        r, c = hessian_diagonals(spec.model,
+                                 self._transform(self._checked(u), self._field),
+                                 spec.data.intensity_stack, spec.epsilon)
+        Fh_work, rFh, cFh = (np.empty_like(c) for _ in range(3))
 
         def apply(h: np.ndarray) -> np.ndarray:
             h = self._checked(h)
-            out = np.zeros_like(h)
-            for phases, r, c in cached:
-                # r * Fh + c * conj(Fh), in that order
-                Fh = _forward(h, phases, self.counter, Fh_work)
-                np.multiply(r, Fh, out=rFh)
-                np.multiply(c, np.conj(Fh, out=cFh), out=cFh)
-                v = np.add(rFh, cFh, out=rFh)
-                out += _adjoint(v, phases, self.counter, v)
-            return out
+            # r * Fh + c * conj(Fh), in that order
+            Fh = self._transform(h, Fh_work)
+            np.multiply(r, Fh, out=rFh)
+            np.multiply(c, np.conj(Fh, out=cFh), out=cFh)
+            return self._adjoint_sum(np.add(rFh, cFh, out=rFh))
 
         return apply
 
@@ -233,11 +267,9 @@ def objective_floor(spec: ObjectiveSpec) -> float:
     """
     if spec.model == "LSI":
         return 0.0
-    e2 = spec.epsilon * spec.epsilon
-    total = 0.0
-    for intensity, amplitude in zip(spec.data.intensities, spec.data.amplitudes):
-        K = np.maximum(intensity - e2, 0.0)
-        work = (np.empty_like(K), np.empty_like(K))
-        total += _plane_terms(spec.model, K, intensity, amplitude,
-                              spec.epsilon, work)[0]
-    return total
+    data = spec.data
+    K = np.maximum(data.intensity_stack - spec.epsilon * spec.epsilon, 0.0)
+    work = (np.empty_like(K), np.empty_like(K))
+    return _in_plan_order(_plane_terms(spec.model, K, data.intensity_stack,
+                                       data.amplitude_stack, spec.epsilon,
+                                       work)[0])

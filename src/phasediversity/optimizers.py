@@ -268,7 +268,7 @@ def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
             if alpha is None or not (min(lo, hi) + 0.1 * width <= alpha
                                      <= max(lo, hi) - 0.1 * width):
                 alpha = 0.5 * (lo + hi)
-        z_a = z + alpha * d
+        z_a = z + d if alpha == 1.0 else z + alpha * d
         f_a, g_a = f_and_grad(z_a)
         dphi_a = _redot(d, g_a)
         if (not (math.isfinite(f_a) and math.isfinite(dphi_a))
@@ -375,9 +375,12 @@ def _newton_cg_direction(obj, z, g, cg_max):
     return d, negative
 
 
-def _rms_or_nan(truth, point) -> float:
-    """Aligned RMS of ``point`` against ``truth``; NaN without a truth."""
-    return aligned_rms(truth, point) if truth is not None else float("nan")
+def _rms_or_nan(truth, point, truth_norm=None) -> float:
+    """Aligned RMS of ``point`` against ``truth``, whose norm may be given;
+    NaN without a truth."""
+    if truth is None:
+        return float("nan")
+    return aligned_rms(truth, point, u_norm=truth_norm)
 
 
 def solve(obj, config: SolverConfig, z0: np.ndarray,
@@ -405,6 +408,10 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
                          "misell_iterate runs the projection baseline")
 
     z = np.array(z0, dtype=complex)
+    truth_norm = None
+    if truth is not None:
+        truth = np.asarray(truth, dtype=complex)
+        truth_norm = _norm(truth)
     trace = RunTrace(method=method)
     f, g = obj.value_and_gradient(z)
     memory = LbfgsMemory(config.lbfgs_memory)
@@ -414,11 +421,12 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
     for k in range(config.max_iters + 1):
         gg = _redot(g, g)
         gnorm = math.sqrt(gg)
-        trace.append(TraceRecord(k, f, gnorm, alpha, _rms_or_nan(truth, z),
+        trace.append(TraceRecord(k, f, gnorm, alpha,
+                                 _rms_or_nan(truth, z, truth_norm),
                                  obj.fft_calls, negative_curvature))
         if k > 0 and abs(f_old - f) <= config.tol_fun * max(1.0, abs(f_old)):
             trace.stop_reason = "tol_fun"
-        elif k > 0 and _norm(s) <= config.tol_x * max(1.0, _norm(z_old)):
+        elif k > 0 and _norm(s) <= config.tol_x * max(1.0, z_old_norm):
             trace.stop_reason = "tol_x"
         elif gnorm <= config.grad_tol:
             trace.stop_reason = "grad_zero"
@@ -452,10 +460,13 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
                     return z, trace
                 d, slope = steepest, -gg
 
-        s = ls.z_new - z
+        # the step and LBFGS's gradient change are written over the old z
+        # and the direction, arrays solve made and does not use again
+        f_old, z_old_norm = f, _norm(z)
+        s = np.subtract(ls.z_new, z, out=z)
         if method == "LBFGS":
-            memory.push(s, ls.g_new - g)
-        f_old, z_old, g_prev = f, z, g
+            memory.push(s, np.subtract(ls.g_new, g, out=d))
+        g_prev = g if method == "NCG" else None
         z, f, g, alpha = ls.z_new, ls.f_new, ls.g_new, ls.alpha
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from phasediversity.experiments import initial_guess
+from phasediversity.forward import diversity_adjoint, diversity_forward
+from phasediversity.objectives import hessian_diagonals
 from phasediversity.problems import build_problem
 
 
@@ -60,6 +62,64 @@ def objective_floor_oracle(spec):
             terms = np.where(above, intensity - e2 - intensity * np.log(safe),
                              -intensity * np.log(e2))
         total += float(np.sum(terms))
+    return total
+
+
+def _plane_terms_oracle(model, K, intensity, eps):
+    """One plane's misfit value, summed by ``np.sum`` over that plane alone,
+    and its gradient weight w, in the order of operations of the
+    plane-by-plane evaluation."""
+    if model == "LSI":
+        residual = K - intensity
+        return float(0.5 * np.sum(np.square(residual))), residual
+    Ke = K + eps * eps
+    if model == "MLP":
+        return (float(np.sum(K - intensity * np.log(Ke))),
+                1.0 - intensity / Ke)
+    root = np.sqrt(Ke)
+    amplitude = np.sqrt(intensity)
+    return (float(np.sum(K - (2.0 * root) * amplitude)),
+            1.0 - amplitude / root)
+
+
+def per_plane_misfit(spec, u):
+    """Oracle for the stacked misfit: value and gradient evaluated one plane
+    at a time through the public plane operators, the plane values added
+    and the adjoints accumulated in plan order."""
+    total = 0.0
+    grad = np.zeros_like(u)
+    for plane, intensity in zip(spec.plan, spec.data.intensities):
+        Fu = diversity_forward(u, plane, spec.grid)
+        value, w = _plane_terms_oracle(spec.model, np.square(np.abs(Fu)),
+                                       intensity, spec.epsilon)
+        total += value
+        grad += diversity_adjoint(Fu * w, plane, spec.grid)
+    return total, grad
+
+
+def per_plane_hessian_action(spec, u, h):
+    """Oracle for the stacked Hessian action: sum over planes, in plan order,
+    of F*(r o F(h) + c o conj(F(h))) with each plane's (r, c)."""
+    out = np.zeros_like(h)
+    for plane, intensity in zip(spec.plan, spec.data.intensities):
+        r, c = hessian_diagonals(spec.model,
+                                 diversity_forward(u, plane, spec.grid),
+                                 intensity, spec.epsilon)
+        Fh = diversity_forward(h, plane, spec.grid)
+        out += diversity_adjoint(r * Fh + c * np.conj(Fh), plane, spec.grid)
+    return out
+
+
+def per_plane_floor(spec):
+    """Oracle for the stacked floor: each plane's terms at
+    K* = max(I - eps^2, 0), added in plan order."""
+    if spec.model == "LSI":
+        return 0.0
+    e2 = spec.epsilon * spec.epsilon
+    total = 0.0
+    for intensity in spec.data.intensities:
+        total += _plane_terms_oracle(spec.model, np.maximum(intensity - e2, 0.0),
+                                     intensity, spec.epsilon)[0]
     return total
 
 

@@ -35,6 +35,17 @@ class TestAlignedRms:
         with pytest.raises(ValueError):
             aligned_rms(np.zeros(4, dtype=complex), np.ones(4, dtype=complex))
 
+    def test_given_reference_norm_gives_the_same_value(self):
+        rng = np.random.default_rng(9)
+        for shape in ((5, 5), (128, 128)):  # one block, several blocks
+            u = random_complex(rng, shape)
+            uhat = u + 1e-3 * random_complex(rng, shape)
+            u_norm = float(np.sqrt(blocked_vdot(u, u).real))
+            assert (np.float64(aligned_rms(u, uhat, u_norm=u_norm)).tobytes()
+                    == np.float64(aligned_rms(u, uhat)).tobytes())
+        with pytest.raises(ValueError):
+            aligned_rms(u, uhat, u_norm=0.0)
+
     def test_matches_dense_phase_sweep(self):
         # Independent oracle: evaluate the residual norm on a 1e6-point
         # grid of unit phases and take the minimum.

@@ -15,13 +15,19 @@ from phasediversity.objectives import (
     DataMisfit,
     MeasurementSet,
     ObjectiveSpec,
-    hessian_diagonals,
     objective_floor,
 )
 from phasediversity.optimizers import SolverConfig, solve
 from phasediversity.problems import add_poisson_noise, build_problem
 
-from conftest import defocus_phase, objective_floor_oracle, random_complex
+from conftest import (
+    defocus_phase,
+    objective_floor_oracle,
+    per_plane_floor,
+    per_plane_hessian_action,
+    per_plane_misfit,
+    random_complex,
+)
 
 
 def full_grid(n):
@@ -261,7 +267,7 @@ def test_kept_gradient_survives_next_evaluation(model):
 @pytest.mark.parametrize("model", MODELS)
 def test_hessian_action_bit_identical_to_its_definition(model):
     # sum over planes of F*(r o F(h) + c o conj(F(h))), from the public
-    # operators and the (r, c) of hessian_diagonals
+    # operators and the (r, c) of hessian_diagonals (conftest's oracle)
     n = 32
     spec, truth = make_spec(model, n=n, eps=1e-6, defocus=(-2.7, 3.1),
                             amplitude=True, seed=21)
@@ -270,12 +276,7 @@ def test_hessian_action_bit_identical_to_its_definition(model):
     hess = DataMisfit(spec).hessian_operator(u)
     for _ in range(2):  # repeated applications reuse the work arrays
         h = random_complex(rng, (n, n))
-        ref = np.zeros_like(h)
-        for plane, intensity in zip(spec.plan, spec.data.intensities):
-            r, c = hessian_diagonals(model, diversity_forward(u, plane, spec.grid),
-                                     intensity, spec.epsilon)
-            Fh = diversity_forward(h, plane, spec.grid)
-            ref += diversity_adjoint(r * Fh + c * np.conj(Fh), plane, spec.grid)
+        ref = per_plane_hessian_action(spec, u, h)
         got = hess(h)
         assert got.tobytes() == ref.tobytes()
         assert hess(h) is not got
@@ -403,3 +404,81 @@ def test_noiseless_instance_objective_invariants(bench32):
     assert np.linalg.norm(g) <= 1e-8
     spec_lsi = ObjectiveSpec("LSI", 1e-14, bench32.plan, bench32.data, bench32.grid)
     assert DataMisfit(spec_lsi).value(bench32.truth) <= npix * spec.epsilon
+
+
+class TestStackedEvaluation:
+    """DataMisfit evaluates all planes as one (P, n, n) stack; every result
+    must be bit-equal to the plane-by-plane oracle."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "poisson"])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("amplitude", [True, False], ids=["amp", "noamp"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_bit_equal_to_per_plane_oracle(self, model, amplitude, n, noisy):
+        spec, truth = make_spec(model, n=n, eps=1e-6, defocus=(-2.7, 3.1),
+                                amplitude=amplitude, seed=n)
+        if noisy:
+            spec = ObjectiveSpec(model, spec.epsilon, spec.plan,
+                                 add_poisson_noise(spec.data, 20.0, seed=n),
+                                 spec.grid)
+        rng = np.random.default_rng(n + 1)
+        u = truth + 0.1 * random_complex(rng, (n, n))
+        h = random_complex(rng, (n, n))
+        obj = DataMisfit(spec)
+        f, g = obj.value_and_gradient(u)
+        f_ref, g_ref = per_plane_misfit(spec, u)
+        assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
+        assert g.tobytes() == g_ref.tobytes()
+        assert np.float64(obj.value(u)).tobytes() == np.float64(f_ref).tobytes()
+        assert (obj.hessian_operator(u)(h).tobytes()
+                == per_plane_hessian_action(spec, u, h).tobytes())
+        floor = objective_floor(spec)
+        assert np.float64(floor).tobytes() == np.float64(per_plane_floor(spec)).tobytes()
+
+    @pytest.mark.parametrize("amplitude", [True, False], ids=["amp", "noamp"])
+    def test_one_numpy_fft_per_defocus_plane(self, monkeypatch, amplitude):
+        # counted as the benchmark tracer counts: calls into numpy's FFTs
+        spec, truth = make_spec("MLP", n=16, defocus=(-3.0, 1.0, 3.0),
+                                amplitude=amplitude)
+        calls = []
+        for name in ("fftn", "ifftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        obj = DataMisfit(spec)
+        u = truth + 0.1
+        obj.value(u)
+        assert calls == ["fftn"] * 3
+        calls.clear()
+        obj.value_and_gradient(u)
+        assert calls == ["fftn"] * 3 + ["ifftn"] * 3
+        calls.clear()
+        apply = obj.hessian_operator(u)
+        assert calls == ["fftn"] * 3
+        calls.clear()
+        apply(u)
+        assert calls == ["fftn"] * 3 + ["ifftn"] * 3
+        assert obj.fft_calls == 3 + 6 + 3 + 6
+
+
+class TestMeasurementStack:
+    def test_rows_are_views_of_one_stack(self):
+        planes = [np.full((4, 4), float(m)) for m in range(3)]
+        data = MeasurementSet(planes)
+        assert data.intensity_stack.shape == (3, 4, 4)
+        assert data.amplitude_stack.shape == (3, 4, 4)
+        for m, (i, a) in enumerate(zip(data.intensities, data.amplitudes)):
+            assert np.shares_memory(i, data.intensity_stack)
+            assert np.shares_memory(a, data.amplitude_stack)
+            assert not np.shares_memory(i, planes[m])
+            assert np.array_equal(i, planes[m])
+            assert i.base is data.intensity_stack
+            assert a.base is data.amplitude_stack
+
+    def test_planes_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"\(4, 4\).*\(4, 5\)"):
+            MeasurementSet([np.ones((4, 4)), np.ones((4, 4)), np.ones((4, 5))])

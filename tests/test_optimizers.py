@@ -466,6 +466,34 @@ class TestSolverInfrastructure:
         assert trace.stop_reason == reason
         assert len(trace) == records
 
+    def test_reference_norm_once_per_solve_keeps_trace_bytes(
+            self, monkeypatch, tmp_path, bench32):
+        # the RMS column with ||truth|| computed once per solve equals the
+        # one with ||truth|| recomputed by every aligned_rms call
+        from phasediversity import fields, optimizers
+        from phasediversity.experiments import initial_guess
+        spec = ObjectiveSpec("LS", 1e-14, bench32.plan, bench32.data,
+                             bench32.grid)
+        cfg = SolverConfig(method="LBFGS", max_iters=30)
+
+        def traces(tag):
+            paths = []
+            for seed in range(3):
+                _, trace = solve(DataMisfit(spec), cfg,
+                                 initial_guess(bench32.grid.mask, seed),
+                                 truth=bench32.truth)
+                paths.append(tmp_path / f"{tag}_{seed}.csv")
+                trace.to_csv(paths[-1], {"seed": seed})
+            return [p.read_bytes() for p in paths]
+
+        calls = []
+        once = traces("once")
+        monkeypatch.setattr(optimizers, "aligned_rms",
+                            lambda u, uhat, **kw: calls.append(kw)
+                            or fields.aligned_rms(u, uhat))
+        assert traces("every_call") == once
+        assert calls and all(kw["u_norm"] > 0 for kw in calls)
+
     def test_traces_are_deterministic(self, small_instance):
         from phasediversity.experiments import initial_guess
 
