@@ -337,7 +337,8 @@ def run_single(config: ExperimentConfig, instance: ProblemInstance,
         _, trace = misell_iterate(z0, instance.plan, instance.data, instance.grid,
                                   config.solver.max_iters, truth=instance.truth)
     else:
-        _, trace = solve(DataMisfit(spec), config.solver, z0, truth=instance.truth)
+        obj = DataMisfit(spec)
+        _, trace = solve(obj, config.solver, z0, truth=instance.truth)
 
     last = trace.records[-1]
     row = {
@@ -357,7 +358,7 @@ def run_single(config: ExperimentConfig, instance: ProblemInstance,
                                      instance.data, instance.grid)
             floor = 0.0
         else:
-            level = DataMisfit(spec).value(instance.truth)
+            level = obj.value(instance.truth)
             floor = objective_floor(spec)
         res = morozov_stop(trace.f_values, level, tau=config.morozov_tau,
                            floor=floor)
@@ -503,7 +504,7 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
     with atomic_open(out / "compare_models.csv") as fh:
         fh.write(key_value_lines(flat, "# "))
         fh.write("model,restart,iter,rms,f\n")
-        fh.write("\n".join(series_lines) + "\n")
+        fh.writelines(f"{line}\n" for line in series_lines)
     payload = {"config": flat, "rms_target": _RMS_TARGET,
                "models": per_model}
     _write_json(out / "compare_models.json", payload)
@@ -529,13 +530,15 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
         raise ConfigError(f"cannot analyze at point {point}: {exc}") from exc
     instance, out, flat = _prepare(config, instance, out_dir)
     planes = []
-    for plane, intensity, U in zip(instance.plan, instance.data.intensities,
-                                   matrices):
+    data = instance.data
+    for plane, intensity, amplitude, U in zip(instance.plan, data.intensities,
+                                              data.amplitudes, matrices):
         models = {}
         Fu = diversity_forward(u, plane, instance.grid)
         for model in MODELS:
             report = closed_form_spectrum(model, Fu, intensity, config.epsilon)
-            r, c = hessian_diagonals(model, Fu, intensity, config.epsilon)
+            r, c = hessian_diagonals(model, Fu, intensity, amplitude,
+                                     config.epsilon)
             dense = np.sort(np.linalg.eigvalsh(dense_hessian(r, c, U)))
             entry = report.to_dict()
             entry["dense_max_deviation"] = float(

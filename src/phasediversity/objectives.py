@@ -18,12 +18,14 @@ diagonals used by the spectrum analysis module.  Each model's per-pixel
 terms are written once, as functions of K, in :func:`_plane_terms`;
 :func:`objective_floor` evaluates them at the K that minimizes each term.
 
-The P planes of a measurement set are stored as one ``(P, n, n)`` stack,
-and :class:`DataMisfit` evaluates them as one: each defocus plane's
-transform is one FFT call that fills one row, every pointwise step is one
-numpy call on the whole stack, and plane values and adjoints are added in
-plan order, so results equal a plane-by-plane evaluation bit for bit.  Its
-work arrays take P times the memory of a plane.
+A :class:`MeasurementSet` holds the measured data in one form: two
+read-only ``(P, n, n)`` stacks, the intensities I and the amplitudes
+M = sqrt(I), row m being plane m; every misfit quantity reads M from it.
+:class:`DataMisfit` evaluates the P planes as one stack: each defocus
+plane's transform is one FFT call that fills one row, every pointwise step
+is one numpy call on the whole stack, and plane values and adjoints are
+added in plan order, so results equal a plane-by-plane evaluation bit for
+bit.  Its work arrays take P times the memory of a plane.
 
 The eps^2 perturbation is added to intensity inside log and sqrt (not
 eps to amplitude); the first LS term keeps K unperturbed.
@@ -31,7 +33,7 @@ eps to amplitude); the first LS term keeps K unperturbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,17 +62,14 @@ MODELS = ("MLP", "LS", "LSI")
 DEFAULT_EPSILON = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Observed intensities of every plane, stored as one ``(P, n, n)`` stack
-    with the amplitudes sqrt(I) as a second stack, computed once when the set
-    is built.  ``intensities`` and ``amplitudes`` are the stacks' rows, views
-    that share their memory."""
+    """Measured data of P planes as two read-only ``(P, n, n)`` stacks, the
+    ``intensities`` I and the ``amplitudes`` sqrt(I), computed once when the
+    set is built; row m is plane m.  Two sets compare by identity."""
 
-    intensities: tuple
-    amplitudes: tuple = field(init=False, repr=False, compare=False)
-    intensity_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    amplitude_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    intensities: np.ndarray
+    amplitudes: np.ndarray
 
     def __init__(self, intensities: Sequence[np.ndarray]):
         ints = [require_intensity(i) for i in intensities]
@@ -79,11 +78,9 @@ class MeasurementSet:
         for i in ints[1:]:
             require_same_shape(ints[0], i)
         stack = np.stack(ints)
-        amplitude_stack = np.sqrt(stack)
-        object.__setattr__(self, "intensity_stack", stack)
-        object.__setattr__(self, "amplitude_stack", amplitude_stack)
-        object.__setattr__(self, "intensities", tuple(stack))
-        object.__setattr__(self, "amplitudes", tuple(amplitude_stack))
+        for name, array in (("intensities", stack), ("amplitudes", np.sqrt(stack))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.intensities)
@@ -113,61 +110,56 @@ class ObjectiveSpec:
 
 
 def hessian_diagonals(model: str, Fu: np.ndarray, intensity: np.ndarray,
-                      eps: float):
+                      amplitude: np.ndarray, eps: float):
     """Per-pixel structured-Hessian coefficients (r real, c complex) of a
     plane's Hessian action H(h) = F*(r o F(h) + c o conj(F(h))), from the
-    plane's transform ``Fu`` = F(u) at the point; pointwise, no transform."""
+    plane's transform ``Fu`` = F(u) at the point and its measured intensity
+    I and amplitude M = sqrt(I); pointwise, no transform."""
     K = np.abs(Fu) ** 2
-    intensity = np.asarray(intensity, dtype=float)
     Ke = K + eps * eps
     if model == "MLP":
         r = 1.0 - (eps * eps) * intensity / Ke**2
         c = intensity * Fu**2 / Ke**2
     elif model == "LS":
-        amplitude = np.sqrt(intensity)
         r = 1.0 - (amplitude / (2.0 * np.sqrt(Ke))) * ((K + 2.0 * eps * eps) / Ke)
         c = Fu**2 * amplitude / (2.0 * Ke**1.5)
     else:  # LSI
         r = 2.0 * K - intensity
         c = Fu**2
-    return np.asarray(r, dtype=float), np.asarray(c, dtype=complex)
+    return r, c
 
 
 def _plane_terms(model: str, K: np.ndarray, intensity: np.ndarray,
                  amplitude: np.ndarray, eps: float, work):
-    """Per-plane misfit values at the predicted intensities K = |F(u)|^2 of a
+    """Misfit total at the predicted intensities K = |F(u)|^2 of a
     ``(P, n, n)`` stack and the real weight w such that plane m's gradient is
     F_m*(F_m(u) o w[m]).  w is written over ``K``, and the two real stacks
     ``work`` hold K + eps^2 (for LS, its square root) and the terms, computed
-    once and shared by both.  Each plane's terms are summed as ``np.sum``
-    sums that plane alone."""
+    once and shared by both."""
     Ke, t = work
     if model == "LSI":
         residual = np.subtract(K, intensity, out=K)
-        return 0.5 * _plane_sums(np.square(residual, out=t)), residual
+        return _plan_total(np.square(residual, out=t), 0.5), residual
     np.add(K, eps * eps, out=Ke)
     if model == "MLP":
         np.multiply(intensity, np.log(Ke, out=t), out=t)
-        values = _plane_sums(np.subtract(K, t, out=t))
+        total = _plan_total(np.subtract(K, t, out=t))
         w = np.divide(intensity, Ke, out=K)
     else:  # LS
         root = np.sqrt(Ke, out=Ke)
         np.multiply(np.multiply(2.0, root, out=t), amplitude, out=t)
-        values = _plane_sums(np.subtract(K, t, out=t))
+        total = _plan_total(np.subtract(K, t, out=t))
         w = np.divide(amplitude, root, out=K)
-    return values, np.subtract(1.0, w, out=w)
+    return total, np.subtract(1.0, w, out=w)
 
 
-def _plane_sums(stack: np.ndarray) -> np.ndarray:
-    """Sum of each row of a contiguous stack, one reduction for all rows."""
-    return stack.reshape(len(stack), -1).sum(axis=1)
-
-
-def _in_plan_order(values: np.ndarray) -> float:
-    """Per-plane values added in plan order as Python floats."""
+def _plan_total(terms: np.ndarray, scale: float = 1.0) -> float:
+    """Each plane's terms of a contiguous stack summed as ``np.sum`` sums
+    that plane alone (one reduction for all rows), times ``scale``, and the
+    plane values added in plan order as Python floats."""
     total = 0.0
-    for value in values.tolist():
-        total += value
+    for value in terms.reshape(len(terms), -1).sum(axis=1).tolist():
+        total += scale * value
     return total
 
 
@@ -222,9 +214,8 @@ class DataMisfit:
         Fu = self._transform(u, self._field)
         K, *work = self._work
         np.square(np.abs(Fu, out=K), out=K)
-        values, w = _plane_terms(spec.model, K, spec.data.intensity_stack,
-                                 spec.data.amplitude_stack, spec.epsilon, work)
-        value = _in_plan_order(values)
+        value, w = _plane_terms(spec.model, K, spec.data.intensities,
+                                spec.data.amplitudes, spec.epsilon, work)
         if not gradient:
             return value, None
         return value, self._adjoint_sum(np.multiply(Fu, w, out=Fu))
@@ -243,7 +234,8 @@ class DataMisfit:
         spec = self.spec
         r, c = hessian_diagonals(spec.model,
                                  self._transform(self._checked(u), self._field),
-                                 spec.data.intensity_stack, spec.epsilon)
+                                 spec.data.intensities, spec.data.amplitudes,
+                                 spec.epsilon)
         Fh_work, rFh, cFh = (np.empty_like(c) for _ in range(3))
 
         def apply(h: np.ndarray) -> np.ndarray:
@@ -268,8 +260,7 @@ def objective_floor(spec: ObjectiveSpec) -> float:
     if spec.model == "LSI":
         return 0.0
     data = spec.data
-    K = np.maximum(data.intensity_stack - spec.epsilon * spec.epsilon, 0.0)
+    K = np.maximum(data.intensities - spec.epsilon * spec.epsilon, 0.0)
     work = (np.empty_like(K), np.empty_like(K))
-    return _in_plan_order(_plane_terms(spec.model, K, data.intensity_stack,
-                                       data.amplitude_stack, spec.epsilon,
-                                       work)[0])
+    return _plane_terms(spec.model, K, data.intensities, data.amplitudes,
+                        spec.epsilon, work)[0]

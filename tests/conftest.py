@@ -101,10 +101,12 @@ def per_plane_hessian_action(spec, u, h):
     """Oracle for the stacked Hessian action: sum over planes, in plan order,
     of F*(r o F(h) + c o conj(F(h))) with each plane's (r, c)."""
     out = np.zeros_like(h)
-    for plane, intensity in zip(spec.plan, spec.data.intensities):
+    data = spec.data
+    for plane, intensity, amplitude in zip(spec.plan, data.intensities,
+                                           data.amplitudes):
         r, c = hessian_diagonals(spec.model,
                                  diversity_forward(u, plane, spec.grid),
-                                 intensity, spec.epsilon)
+                                 intensity, amplitude, spec.epsilon)
         Fh = diversity_forward(h, plane, spec.grid)
         out += diversity_adjoint(r * Fh + c * np.conj(Fh), plane, spec.grid)
     return out

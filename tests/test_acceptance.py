@@ -225,11 +225,12 @@ def test_criterion_04_closed_forms_match_assembled_hessians():
     u = random_complex(rng, (4, 4))
     worst_eig = 0.0
     worst_hvp = 0.0
-    for plane, intensity in zip(inst.plan, inst.data.intensities):
+    for plane, intensity, amplitude in zip(inst.plan, inst.data.intensities,
+                                           inst.data.amplitudes):
         U = plane_matrix(plane, inst.grid)
         Fu = diversity_forward(u, plane, inst.grid)
         for model in MODELS:
-            r, c = hessian_diagonals(model, Fu, intensity, eps)
+            r, c = hessian_diagonals(model, Fu, intensity, amplitude, eps)
             H = dense_hessian(r, c, U)
             dense = np.sort(np.linalg.eigvalsh(H))
             closed = closed_form_spectrum(model, Fu, intensity, eps).eigenvalues

@@ -352,6 +352,20 @@ class TestCompareRunners:
         for restart, vals in starts.items():
             assert len(vals) == 1
 
+    def test_compare_models_csv_without_traces_ends_at_header(self, tmp_path,
+                                                              monkeypatch):
+        import phasediversity.experiments as exp
+
+        def fail(config, instance, restart):
+            raise RuntimeError("synthetic blow-up")
+
+        monkeypatch.setattr(exp, "run_single", fail)
+        cfg = small_config(restarts=2)
+        run_compare_models(cfg, build_instance(cfg), tmp_path / "cm")
+        text = (tmp_path / "cm" / "compare_models.csv").read_text()
+        assert text.endswith("\n")
+        assert text.splitlines()[-1] == "model,restart,iter,rms,f"
+
     def test_compare_models_keeps_restart_rows(self, tmp_path):
         cfg = small_config(restarts=2, **{"solver.max_iters": 12,
                                           "noise.snr": 10,

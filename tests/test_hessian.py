@@ -52,14 +52,14 @@ class TestDiagonals:
     def test_mlp_at_consistent_point_small_eps(self):
         grid, plane, truth, intensity, _ = plane_setup()
         r, c = hessian_diagonals("MLP", diversity_forward(truth, plane, grid),
-                                 intensity, 1e-12)
+                                 intensity, np.sqrt(intensity), 1e-12)
         assert np.abs(r - 1.0).max() < 1e-8
         assert np.abs(np.abs(c) - 1.0).max() < 1e-8
 
     def test_ls_at_consistent_point(self):
         grid, plane, truth, intensity, _ = plane_setup()
         r, c = hessian_diagonals("LS", diversity_forward(truth, plane, grid),
-                                 intensity, 1e-14)
+                                 intensity, np.sqrt(intensity), 1e-14)
         assert np.abs(r - 0.5).max() < 1e-8
         assert np.abs(np.abs(c) - 0.5).max() < 1e-8
 
@@ -68,7 +68,7 @@ class TestDiagonals:
         grid, plane, _, intensity, u = plane_setup(seed=1)
         eps = 1e-3
         r, c = hessian_diagonals(model, diversity_forward(u, plane, grid),
-                                 intensity, eps)
+                                 intensity, np.sqrt(intensity), eps)
         H = dense_hessian(r, c, plane_matrix(plane, grid))
         spec = ObjectiveSpec(model, eps, DiversityPlan([plane]),
                              MeasurementSet([intensity]), grid)
@@ -135,7 +135,7 @@ class TestClosedFormSpectrum:
         eps = 1e-2
         Fu = diversity_forward(u, plane, grid)
         report = closed_form_spectrum(model, Fu, intensity, eps)
-        r, c = hessian_diagonals(model, Fu, intensity, eps)
+        r, c = hessian_diagonals(model, Fu, intensity, np.sqrt(intensity), eps)
         dense = np.sort(np.linalg.eigvalsh(
             dense_hessian(r, c, plane_matrix(plane, grid))))
         assert np.abs(report.eigenvalues - dense).max() < 1e-9
@@ -145,7 +145,8 @@ class TestClosedFormSpectrum:
         Fu = diversity_forward(u, plane, grid)
         for model in MODELS:
             cf = closed_form_spectrum(model, Fu, intensity, 1e-4)
-            r, c = hessian_diagonals(model, Fu, intensity, 1e-4)
+            r, c = hessian_diagonals(model, Fu, intensity, np.sqrt(intensity),
+                                     1e-4)
             st = structured_eigenvalues(r, c)
             assert np.abs(cf.eigenvalues - st.eigenvalues).max() < 1e-11
 
@@ -170,7 +171,7 @@ def test_spectra_are_pointwise_in_the_transform(monkeypatch):
     for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, refuse)
     for model in MODELS:
-        hessian_diagonals(model, Fu, intensity, 1e-3)
+        hessian_diagonals(model, Fu, intensity, np.sqrt(intensity), 1e-3)
         closed_form_spectrum(model, Fu, intensity, 1e-3)
     clustering_comparison(Fu, intensity, 1e-3)
 
@@ -186,7 +187,7 @@ class TestDenseGuard:
     def test_structured_hessian_assembles_hermitian(self):
         grid, plane, _, intensity, u = plane_setup(seed=7)
         r, c = hessian_diagonals("LS", diversity_forward(u, plane, grid),
-                                 intensity, 1e-3)
+                                 intensity, np.sqrt(intensity), 1e-3)
         H = dense_hessian(r, c, plane_matrix(plane, grid))
         assert np.abs(H - H.conj().T).max() < 1e-12
         assert np.allclose(structured_eigenvalues(r, c, "LS").eigenvalues,
@@ -209,7 +210,7 @@ class TestWeylBounds:
         maxima, minima = [], []
         for plane, intensity in zip(planes, data):
             r, c = hessian_diagonals("MLP", diversity_forward(u, plane, grid),
-                                     intensity, eps)
+                                     intensity, np.sqrt(intensity), eps)
             H = dense_hessian(r, c, plane_matrix(plane, grid))
             H_total += H
             ev = np.linalg.eigvalsh(H)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -466,18 +468,24 @@ class TestStackedEvaluation:
 
 
 class TestMeasurementStack:
-    def test_rows_are_views_of_one_stack(self):
-        planes = [np.full((4, 4), float(m)) for m in range(3)]
+    def test_two_read_only_stacks(self):
+        rng = np.random.default_rng(3)
+        planes = [rng.uniform(0.0, 5.0, (4, 4)) for _ in range(3)]
         data = MeasurementSet(planes)
-        assert data.intensity_stack.shape == (3, 4, 4)
-        assert data.amplitude_stack.shape == (3, 4, 4)
-        for m, (i, a) in enumerate(zip(data.intensities, data.amplitudes)):
-            assert np.shares_memory(i, data.intensity_stack)
-            assert np.shares_memory(a, data.amplitude_stack)
-            assert not np.shares_memory(i, planes[m])
-            assert np.array_equal(i, planes[m])
-            assert i.base is data.intensity_stack
-            assert a.base is data.amplitude_stack
+        assert data.intensities.shape == (3, 4, 4)
+        assert data.amplitudes.shape == (3, 4, 4)
+        for name in ("intensities", "amplitudes"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(data, name)[1][0, 0] += 1.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(data, name, np.zeros((3, 4, 4)))
+        for m, plane in enumerate(planes):
+            assert np.array_equal(data.intensities[m], plane)
+            assert not np.shares_memory(data.intensities, plane)
+        assert (data.amplitudes.tobytes()
+                == np.sqrt(data.intensities).tobytes())
+        assert (data == MeasurementSet(planes)) is False
+        assert data == data
 
     def test_planes_of_different_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"\(4, 4\).*\(4, 5\)"):
