@@ -13,7 +13,6 @@ from .forward import (
     DiversityPlan,
     PlaneSpec,
     PupilGrid,
-    TransformCounter,
     diversity_adjoint,
     diversity_forward,
     unitary_dft2,

@@ -46,7 +46,6 @@ from .objectives import (
     objective_floor,
 )
 from .optimizers import (
-    METHODS,
     RunTrace,
     SolverConfig,
     misell_iterate,
@@ -525,6 +524,8 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
         else:
             u = np.load(point)
         require_same_shape(u, instance.grid.mask)
+        if not np.isfinite(u).all():
+            raise ValueError("the point has non-finite entries")
         matrices = [plane_matrix(plane, instance.grid) for plane in instance.plan]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot analyze at point {point}: {exc}") from exc

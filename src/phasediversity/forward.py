@@ -28,7 +28,6 @@ __all__ = [
     "PlaneSpec",
     "DiversityPlan",
     "PupilGrid",
-    "TransformCounter",
     "unitary_dft2",
     "diversity_forward",
     "diversity_adjoint",
@@ -121,18 +120,7 @@ class PupilGrid:
         return self.coordinates(self.n)
 
 
-@dataclass
-class TransformCounter:
-    """Mutable FFT-call counter; one forward or inverse transform = one call."""
-
-    count: int = 0
-
-    def add(self) -> None:
-        self.count += 1
-
-
 def unitary_dft2(f: np.ndarray, inverse: bool = False,
-                 counter: TransformCounter | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Unitary 2-D DFT (norm 1/sqrt(rows*cols) each way), so forward o inverse
     is the identity and Parseval holds exactly.
@@ -141,12 +129,10 @@ def unitary_dft2(f: np.ndarray, inverse: bool = False,
     itself) the result is written there and ``out`` is returned.
     """
     f = np.asarray(f, dtype=complex)
-    if counter is not None:
-        counter.add()
     # the shape is passed so numpy skips deriving it through its generic
     # array wrappers on every call, about a fifth of a transform at n=32;
     # the passes and bits are those of fft2.  ``np.fft.fftn`` is looked up
-    # per call, not bound at import, so FFT-call counters can patch it
+    # per call, not bound at import, so code that counts FFT calls can patch it
     if inverse:
         return np.fft.ifftn(f, f.shape[-2:], (-2, -1), norm="ortho", out=out)
     return np.fft.fftn(f, f.shape[-2:], (-2, -1), norm="ortho", out=out)
@@ -173,27 +159,25 @@ def _plane_phases(plane: PlaneSpec, grid: PupilGrid):
     return _defocus_phase(grid.n, plane.defocus_waves)
 
 
-def _forward(u: np.ndarray, phases, counter: TransformCounter | None,
-             out: np.ndarray | None) -> np.ndarray:
+def _forward(u: np.ndarray, phases, out: np.ndarray | None) -> np.ndarray:
     """Forward operator on a checked complex ``u`` for the plane whose
     :func:`_plane_phases` are ``phases``."""
     if phases is None:
         return u
     w = np.multiply(phases[0], u, out=out)
-    return unitary_dft2(w, counter=counter, out=w)
+    return unitary_dft2(w, out=w)
 
 
-def _adjoint(v: np.ndarray, phases, counter: TransformCounter | None,
-             out: np.ndarray | None) -> np.ndarray:
+def _adjoint(v: np.ndarray, phases, out: np.ndarray | None) -> np.ndarray:
     """Adjoint of :func:`_forward` on a checked complex ``v``."""
     if phases is None:
         return v
-    w = unitary_dft2(v, inverse=True, counter=counter, out=out)
+    w = unitary_dft2(v, inverse=True, out=out)
     return np.multiply(phases[1], w, out=w)
 
 
-def diversity_forward(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
-                      counter: TransformCounter | None = None) -> np.ndarray:
+def diversity_forward(u: np.ndarray, plane: PlaneSpec,
+                      grid: PupilGrid) -> np.ndarray:
     """Apply the plane's forward operator to the pupil field ``u``.
 
     The amplitude plane is the identity and returns ``u`` itself (as a
@@ -201,11 +185,11 @@ def diversity_forward(u: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
     """
     u = np.asarray(u, dtype=complex)
     require_same_shape(u, grid.mask)
-    return _forward(u, _plane_phases(plane, grid), counter, None)
+    return _forward(u, _plane_phases(plane, grid), None)
 
 
-def diversity_adjoint(v: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
-                      counter: TransformCounter | None = None) -> np.ndarray:
+def diversity_adjoint(v: np.ndarray, plane: PlaneSpec,
+                      grid: PupilGrid) -> np.ndarray:
     """Adjoint (= inverse, by unitarity) of :func:`diversity_forward`.
 
     The amplitude plane returns ``v`` itself (as a complex array) without
@@ -213,4 +197,4 @@ def diversity_adjoint(v: np.ndarray, plane: PlaneSpec, grid: PupilGrid,
     """
     v = np.asarray(v, dtype=complex)
     require_same_shape(v, grid.mask)
-    return _adjoint(v, _plane_phases(plane, grid), counter, None)
+    return _adjoint(v, _plane_phases(plane, grid), None)

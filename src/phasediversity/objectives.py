@@ -42,7 +42,6 @@ from .fields import require_intensity, require_same_shape
 from .forward import (
     DiversityPlan,
     PupilGrid,
-    TransformCounter,
     _adjoint,
     _forward,
     _plane_phases,
@@ -167,24 +166,22 @@ class DataMisfit:
     """Evaluator bundling value, gradient and Hessian action with FFT counting.
 
     All P planes are evaluated as one ``(P, n, n)`` stack: row m holds
-    plane m's transform (one counted FFT for a defocus plane, a copy of
-    ``u`` for the amplitude plane).  The work arrays, one complex and three
-    real stacks, are allocated once per instance, so an instance serves one
-    caller at a time; the gradient it returns is a fresh array that later
-    evaluations leave alone.
+    plane m's transform (one FFT for a defocus plane, a copy of ``u`` for
+    the amplitude plane), so each stack transform and each adjoint sum adds
+    the plan's defocus-plane count to ``fft_calls``.  The work arrays, one
+    complex and three real stacks, are allocated once per instance, so an
+    instance serves one caller at a time; the gradient it returns is a fresh
+    array that later evaluations leave alone.
     """
 
     def __init__(self, spec: ObjectiveSpec):
         self.spec = spec
-        self.counter = TransformCounter()
+        self.fft_calls = 0
         self._phases = [_plane_phases(p, spec.grid) for p in spec.plan]
+        self._defocus_planes = sum(p is not None for p in self._phases)
         shape = (len(self._phases), *spec.grid.mask.shape)
         self._field = np.empty(shape, dtype=complex)
         self._work = tuple(np.empty(shape) for _ in range(3))
-
-    @property
-    def fft_calls(self) -> int:
-        return self.counter.count
 
     def _checked(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
@@ -193,18 +190,20 @@ class DataMisfit:
 
     def _transform(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """F_m(u) of every plane m into row m of the stack ``out``."""
+        self.fft_calls += self._defocus_planes
         for phases, row in zip(self._phases, out):
             if phases is None:
                 np.copyto(row, u)
             else:
-                _forward(u, phases, self.counter, row)
+                _forward(u, phases, row)
         return out
 
     def _adjoint_sum(self, v: np.ndarray) -> np.ndarray:
         """sum_m F_m*(v[m]) in plan order, each adjoint written over its row."""
+        self.fft_calls += self._defocus_planes
         total = np.zeros(v.shape[1:], dtype=complex)
         for phases, row in zip(self._phases, v):
-            total += _adjoint(row, phases, self.counter, row)
+            total += _adjoint(row, phases, row)
         return total
 
     def _evaluate(self, u: np.ndarray, gradient: bool):

@@ -43,7 +43,6 @@ from .forward import (
     DEFOCUS,
     DiversityPlan,
     PupilGrid,
-    TransformCounter,
     diversity_adjoint,
     diversity_forward,
 )
@@ -476,12 +475,11 @@ def _defocus_amplitudes(plan: DiversityPlan, data: MeasurementSet):
 
 
 def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
-                     grid: PupilGrid,
-                     counter: TransformCounter | None = None) -> float:
+                     grid: PupilGrid) -> float:
     """sum_m || |F_m u| - M_m ||^2 over the defocus planes of ``plan``."""
     total = 0.0
     for plane, amp in _defocus_amplitudes(plan, data):
-        w = diversity_forward(u, plane, grid, counter=counter)
+        w = diversity_forward(u, plane, grid)
         total += float(np.sum((np.abs(w) - amp) ** 2))
     return total
 
@@ -496,30 +494,31 @@ def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
     measured amplitude (pixels with zero modulus are left unchanged),
     transform back.  The recorded f column is the modulus residual
     sum_m || |F_m u| - M_m ||^2 accumulated over the sweep as each plane
-    is visited; gradient and alpha columns are not applicable (NaN).  The
-    pupil amplitude plane is an object-domain constraint, left to the
-    misfit solvers.
+    is visited; gradient and alpha columns are not applicable (NaN).  With
+    P defocus planes, the start residual costs P transforms and each sweep
+    2P, so sweep k records (2k + 1) P FFT calls.  The pupil amplitude plane
+    is an object-domain constraint, left to the misfit solvers.
     """
     planes = _defocus_amplitudes(plan, data)
     if len(planes) < 2:
         raise ValueError("the projection baseline needs at least two defocus planes")
-    counter = TransformCounter()
     u = np.array(u0, dtype=complex)
     trace = RunTrace(method="MISELL")
-    trace.append(TraceRecord(0, modulus_residual(u, plan, data, grid, counter),
+    trace.append(TraceRecord(0, modulus_residual(u, plan, data, grid),
                              float("nan"), float("nan"), _rms_or_nan(truth, u),
-                             counter.count, False))
+                             len(planes), False))
     for k in range(1, iters + 1):
         sweep_residual = 0.0
         for plane, amp in planes:
-            v = diversity_forward(u, plane, grid, counter=counter)
+            v = diversity_forward(u, plane, grid)
             mod = np.abs(v)
             sweep_residual += float(np.sum((mod - amp) ** 2))
             safe = mod > 0.0
             v = np.where(safe, amp * np.divide(v, mod, out=np.ones_like(v),
                                                where=safe), v)
-            u = diversity_adjoint(v, plane, grid, counter=counter)
+            u = diversity_adjoint(v, plane, grid)
         trace.append(TraceRecord(k, sweep_residual, float("nan"), float("nan"),
-                                 _rms_or_nan(truth, u), counter.count, False))
+                                 _rms_or_nan(truth, u),
+                                 (2 * k + 1) * len(planes), False))
     trace.stop_reason = "max_iters"
     return u, trace

@@ -391,12 +391,14 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 def load_instance(path) -> ProblemInstance:
     """Read a :func:`save_instance` directory; ValueError on a malformed
-    ``config.txt`` line or plan value (parsed as the config parses it), or
-    a plane whose shape differs from the truth's."""
+    ``config.txt`` line or plan value (parsed as the config parses it), a
+    non-finite truth, or a plane whose shape differs from the truth's."""
     path = Path(path)
     with open(path / "config.txt") as fh:
         meta = parse_key_values(fh)
     truth = np.load(path / "truth.npy")
+    if not np.isfinite(truth).all():
+        raise ValueError(f"{path / 'truth.npy'} has non-finite entries")
     n = truth.shape[0]
     grid = PupilGrid(n, np.abs(truth) > 0.5)
     plan = DiversityPlan.from_defocus(

@@ -150,5 +150,22 @@ def small_instance():
                          amplitude_plane=True)
 
 
+@pytest.fixture
+def numpy_ffts(monkeypatch):
+    """``{"n": calls}`` counting every 2-D / n-D numpy FFT entry point the
+    program could call; reset ``n`` to start a count."""
+    calls = {"n": 0}
+
+    def counting(real):
+        def counted(*a, **k):
+            calls["n"] += 1
+            return real(*a, **k)
+        return counted
+
+    for name in ("fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    return calls
+
+
 def bench_start(mask, seed):
     return initial_guess(mask, seed)

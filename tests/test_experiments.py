@@ -239,25 +239,14 @@ class TestRunSolve:
             assert 0 <= row["morozov_index"] <= row["iterations"]
 
     @pytest.mark.parametrize("method", ["SD", "NCG", "LBFGS", "TN", "MISELL"])
-    def test_fft_counter_matches_instrumented_transforms(self, monkeypatch,
+    def test_fft_counter_matches_instrumented_transforms(self, numpy_ffts,
                                                          method):
-        # every 2-D / n-D numpy FFT entry point the program could call, on
-        # every solver path: TN's Hessian action and MISELL's projections too
-        calls = {"n": 0}
-
-        def counting(real):
-            def counted(*a, **k):
-                calls["n"] += 1
-                return real(*a, **k)
-            return counted
-
-        for name in ("fft2", "ifft2", "fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        # on every solver path: TN's Hessian action and MISELL's projections too
         cfg = small_config(restarts=1, **{"solver.method": method})
         inst = build_instance(cfg)
-        calls["n"] = 0
+        numpy_ffts["n"] = 0
         trace, row = run_single(cfg, inst, 0)
-        assert row["fft_calls"] == calls["n"] > 0
+        assert row["fft_calls"] == numpy_ffts["n"] > 0
 
     def test_misell_method_runs_on_defocus_planes(self, tmp_path):
         cfg = small_config(**{"solver.method": "MISELL",
@@ -645,24 +634,32 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "hx" / "hessian_analysis.json").exists()
 
-    @pytest.mark.parametrize("case", ["not_npy", "wrong_shape", "too_large"])
+    @pytest.mark.parametrize("case", ["not_npy", "wrong_shape", "too_large",
+                                      "nan", "inf"])
     def test_analyze_hessian_bad_input_exits_2_before_any_output(
             self, tmp_path, capsys, case):
-        # a text file as the point, a point of the wrong shape, and an
-        # instance above the dense-assembly size limit
+        # a text file as the point, a point of the wrong shape, an instance
+        # above the dense-assembly size limit, and a point with one NaN or
+        # infinite entry
         inst_dir = tmp_path / "inst"
         n = 16 if case == "too_large" else 8
         assert main(["simulate", "--set", f"problem.n={n}",
                      "--out", str(inst_dir)]) == 0
-        point = {"not_npy": str(inst_dir / "config.txt"),
-                 "wrong_shape": str(tmp_path / "small.npy"),
-                 "too_large": "truth"}[case]
+        point, cause = {"not_npy": (str(inst_dir / "config.txt"), "pickled"),
+                        "wrong_shape": (str(tmp_path / "small.npy"), "shape"),
+                        "too_large": ("truth", "limited to 64 pixels"),
+                        "nan": (str(tmp_path / "bad.npy"), "non-finite"),
+                        "inf": (str(tmp_path / "bad.npy"), "non-finite")}[case]
         np.save(tmp_path / "small.npy", np.ones((4, 4), dtype=complex))
+        bad = np.ones((8, 8), dtype=complex)
+        bad[3, 4] = np.nan if case == "nan" else np.inf
+        np.save(tmp_path / "bad.npy", bad)
         capsys.readouterr()
         out = tmp_path / "hx"
         assert main(["analyze-hessian", "--instance", str(inst_dir),
                      "--point", point, "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and cause in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "compare-methods",
@@ -818,6 +815,23 @@ class TestArtifactFormat:
             assert main([command, *args, "--instance", str(inst),
                          "--out", str(tmp_path / command)]) == 2
             assert "cannot load instance" in capsys.readouterr().err
+
+    def test_non_finite_truth_is_load_error(self, tmp_path, capsys):
+        inst, args = self._simulate(tmp_path)
+        truth = np.load(inst / "truth.npy")
+        truth[4, 4] = np.nan
+        np.save(inst / "truth.npy", truth)
+        with pytest.raises(ValueError, match="truth.npy"):
+            load_instance(inst)
+        morozov = ["--set", "noise.snr=20", "--set", "morozov.enabled=true"]
+        for command, extra in (("solve", []), ("solve", morozov),
+                               ("compare-methods", [])):
+            out = tmp_path / command
+            assert main([command, *args, *extra, "--instance", str(inst),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "cannot load instance" in err and "truth.npy" in err
+            assert not out.exists()
 
     def test_plan_flag_read_like_the_config(self, tmp_path, capsys):
         inst, args = self._simulate(tmp_path)

@@ -5,7 +5,6 @@ from phasediversity.forward import (
     DiversityPlan,
     PlaneSpec,
     PupilGrid,
-    TransformCounter,
     _adjoint,
     _forward,
     _plane_phases,
@@ -62,12 +61,6 @@ class TestUnitaryDft:
     def test_roundtrip_identity(self):
         f = random_complex(np.random.default_rng(2), (5, 5))
         assert np.allclose(unitary_dft2(unitary_dft2(f), inverse=True), f)
-
-    def test_counter_increments(self):
-        c = TransformCounter()
-        unitary_dft2(np.zeros((4, 4)), counter=c)
-        unitary_dft2(np.zeros((4, 4)), inverse=True, counter=c)
-        assert c.count == 2
 
     @pytest.mark.parametrize("inverse", [False, True])
     def test_out_is_returned_with_fresh_bits(self, inverse):
@@ -154,11 +147,11 @@ class TestDiversityOperators:
                          (_adjoint, diversity_adjoint)):
             fresh = op(u, plane, grid)
             buf = np.empty_like(u)
-            assert core(u, phases, None, buf) is buf
+            assert core(u, phases, buf) is buf
             assert buf.tobytes() == fresh.tobytes()
-            assert core(u, None, None, buf) is u
+            assert core(u, None, buf) is u
             alias = u.copy()
-            assert core(alias, phases, None, alias) is alias
+            assert core(alias, phases, alias) is alias
             assert alias.tobytes() == fresh.tobytes()
         assert u.tobytes() == kept.tobytes()
 

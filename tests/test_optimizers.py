@@ -433,6 +433,17 @@ class TestMisell:
         with pytest.raises(ValueError):
             misell_iterate(inst.truth, inst.plan, inst.data, inst.grid, 2)
 
+    @pytest.mark.parametrize("iters", [0, 1, 3])
+    def test_fft_calls_match_numpy_transforms(self, numpy_ffts, iters):
+        # three defocus planes after an amplitude plane, which costs none
+        inst = build_problem("zernike", 8, seed=9, defocus=(-3.0, 0.5, 3.0),
+                             amplitude_plane=True)
+        u0 = random_complex(np.random.default_rng(11), inst.truth.shape)
+        numpy_ffts["n"] = 0
+        _, trace = misell_iterate(u0, inst.plan, inst.data, inst.grid, iters)
+        assert len(trace.records) == iters + 1
+        assert trace.fft_calls == numpy_ffts["n"] == (2 * iters + 1) * 3
+
 
 class TestSolverInfrastructure:
     def test_config_validation(self):
