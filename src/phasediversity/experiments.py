@@ -306,8 +306,7 @@ def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
         _objective_spec(config, instance)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if (config.solver.method == "MISELL"
-            and sum(p.kind == DEFOCUS for p in instance.plan) < 2):
+    if config.solver.method == "MISELL" and len(instance.plan.defocus) < 2:
         raise ConfigError("the projection baseline needs at least two defocus planes")
     wants = config.to_flat()
     own = {k: str(v) for k, v in wants.items() if not k.startswith(_INSTANCE)}
@@ -396,13 +395,11 @@ def _write_json(path, payload) -> None:
 def _restarts(config: ExperimentConfig, instance: ProblemInstance):
     """``(trace, row)`` of every restart of the batch.  A failure inside one
     restart is recorded on its row as ``(None, row)`` and does not abort
-    the batch; config errors still propagate."""
+    the batch; ``_prepare`` raises every config error before the first one."""
     results = []
     for i in range(config.restarts):
         try:
             results.append(run_single(config, instance, i))
-        except ConfigError:
-            raise
         except Exception as exc:  # noqa: BLE001 - isolate restart failures
             nan = float("nan")
             results.append((None, {

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -61,37 +60,34 @@ class PlaneSpec:
 
 @dataclass(frozen=True)
 class DiversityPlan:
-    """Ordered list of measurement planes.
+    """The measured planes: the pupil (plane 0) if ``amplitude_plane``,
+    then one defocused image per ``defocus`` entry, in that order; at least
+    one plane is required."""
 
-    At most one amplitude plane is allowed and it must come first; at
-    least one plane is required.
-    """
+    defocus: tuple
+    amplitude_plane: bool
 
-    planes: tuple
-
-    def __init__(self, planes: Sequence[PlaneSpec]):
-        planes = tuple(planes)
-        if not planes:
+    def __post_init__(self):
+        defocus = tuple(float(d) for d in self.defocus)
+        if not np.isfinite(defocus).all():
+            raise ValueError(f"defocus must be finite, got {defocus}")
+        if not isinstance(self.amplitude_plane, bool):
+            raise TypeError(f"amplitude_plane must be a bool, "
+                            f"got {self.amplitude_plane!r}")
+        if not (defocus or self.amplitude_plane):
             raise ValueError("a diversity plan needs at least one plane")
-        n_amp = sum(1 for p in planes if p.kind == AMPLITUDE)
-        if n_amp > 1:
-            raise ValueError("at most one amplitude plane is allowed")
-        if n_amp == 1 and planes[0].kind != AMPLITUDE:
-            raise ValueError("the amplitude plane must be plane 0")
-        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "defocus", defocus)
+
+    @property
+    def planes(self) -> tuple:
+        pupil = (PlaneSpec.amplitude(),) if self.amplitude_plane else ()
+        return pupil + tuple(PlaneSpec.defocus(d) for d in self.defocus)
 
     def __len__(self) -> int:
-        return len(self.planes)
+        return len(self.defocus) + self.amplitude_plane
 
     def __iter__(self):
         return iter(self.planes)
-
-    @classmethod
-    def from_defocus(cls, defocus_list: Sequence[float],
-                     amplitude_plane: bool = False) -> "DiversityPlan":
-        planes = [PlaneSpec.amplitude()] if amplitude_plane else []
-        planes += [PlaneSpec.defocus(d) for d in defocus_list]
-        return cls(planes)
 
 
 @dataclass(frozen=True)

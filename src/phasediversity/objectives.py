@@ -178,7 +178,7 @@ class DataMisfit:
         self.spec = spec
         self.fft_calls = 0
         self._phases = [_plane_phases(p, spec.grid) for p in spec.plan]
-        self._defocus_planes = sum(p is not None for p in self._phases)
+        self._defocus_planes = len(spec.plan.defocus)
         shape = (len(self._phases), *spec.grid.mask.shape)
         self._field = np.empty(shape, dtype=complex)
         self._work = tuple(np.empty(shape) for _ in range(3))

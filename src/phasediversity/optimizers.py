@@ -40,7 +40,6 @@ from .fields import (
     parse_key_values,
 )
 from .forward import (
-    DEFOCUS,
     DiversityPlan,
     PupilGrid,
     diversity_adjoint,
@@ -470,8 +469,9 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
 
 
 def _defocus_amplitudes(plan: DiversityPlan, data: MeasurementSet):
-    """(plane, measured amplitude) of each defocus plane of ``plan``."""
-    return [(p, a) for p, a in zip(plan, data.amplitudes) if p.kind == DEFOCUS]
+    """(plane, measured amplitude) of the planes after the pupil plane."""
+    pupil = int(plan.amplitude_plane)
+    return list(zip(plan.planes[pupil:], data.amplitudes[pupil:]))
 
 
 def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,

@@ -365,7 +365,7 @@ def build_problem(ptype: str, n: int, seed: int = 0,
                                   seed=seed, target_rms=opts["target_rms"])
 
     truth = phase_to_wavefront(phase, grid.mask)
-    plan = DiversityPlan.from_defocus(defocus, amplitude_plane)
+    plan = DiversityPlan(defocus, amplitude_plane)
     data = simulate_measurements(truth, plan, grid)
 
     meta = {"problem.type": ptype, "problem.n": n, "problem.seed": seed}
@@ -390,20 +390,28 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    """Read a :func:`save_instance` directory; ValueError on a malformed
-    ``config.txt`` line or plan value (parsed as the config parses it), a
-    non-finite truth, or a plane whose shape differs from the truth's."""
+    """Read a :func:`save_instance` directory; KeyError on a ``config.txt``
+    without ``problem.n`` or a plan key, ValueError on a malformed line or
+    value of them (parsed as the config parses it), a ``truth.npy`` that
+    is not a finite numeric n x n grid, or a plane whose shape differs
+    from the truth's."""
     path = Path(path)
     with open(path / "config.txt") as fh:
         meta = parse_key_values(fh)
-    truth = np.load(path / "truth.npy")
+    n = int(meta["problem.n"])
+    try:
+        truth = np.load(path / "truth.npy")
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"cannot read {path / 'truth.npy'}: {exc}") from exc
+    if truth.shape != (n, n) or not np.issubdtype(truth.dtype, np.number):
+        raise ValueError(f"{path / 'truth.npy'} holds {truth.dtype} of shape "
+                         f"{truth.shape}, not the ({n}, {n}) numeric grid of "
+                         f"problem.n = {n}")
     if not np.isfinite(truth).all():
         raise ValueError(f"{path / 'truth.npy'} has non-finite entries")
-    n = truth.shape[0]
     grid = PupilGrid(n, np.abs(truth) > 0.5)
-    plan = DiversityPlan.from_defocus(
-        parse_floats(meta["plan.defocus"]),
-        parse_bool(meta.get("plan.amplitude_plane", "false")))
+    plan = DiversityPlan(parse_floats(meta["plan.defocus"]),
+                         parse_bool(meta["plan.amplitude_plane"]))
     intensities = [field_from_csv(path / f"plane_{m:02d}.csv")
                    for m in range(len(plan))]
     for intensity in intensities:

@@ -27,6 +27,9 @@ INSTANCES = {
     "vonkarman16_snr20": ["problem.type=vonkarman", "problem.n=16",
                           "noise.snr=20", "noise.seed=3"],
     "segmented32": ["problem.type=segmented", "problem.n=32"],
+    # no pupil plane and three defocus planes, the other plan shape
+    "zernike16_nopupil": ["problem.n=16", "plan.amplitude_plane=false",
+                          "plan.defocus=-3,0,3"],
 }
 
 _BATCH = ["restarts=2", "solver.max_iters=20"]
@@ -50,6 +53,14 @@ RUNS = {
     "compare_methods": ("compare-methods", "zernike16", _BATCH, []),
     "compare_models": ("compare-models", "zernike16",
                        _BATCH + _MOROZOV + ["noise.snr=30", "noise.seed=3"], []),
+    "nopupil_lbfgs": ("solve", "zernike16_nopupil",
+                      _BATCH + ["solver.method=LBFGS"], []),
+    "nopupil_tn": ("solve", "zernike16_nopupil",
+                   _BATCH + ["solver.method=TN", "solver.tn_cg_max=5"], []),
+    "nopupil_misell_morozov": ("solve", "zernike16_nopupil",
+                               _BATCH + _MOROZOV + ["solver.method=MISELL",
+                                                    "noise.snr=20", "noise.seed=3"],
+                               []),
     "hessian_truth": ("analyze-hessian", "zernike8", [], ["--point", "truth"]),
     "hessian_random": ("analyze-hessian", "zernike8", [], ["--point", "random"]),
 }

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from phasediversity.experiments import initial_guess
-from phasediversity.forward import diversity_adjoint, diversity_forward
+from phasediversity.forward import (
+    AMPLITUDE,
+    DiversityPlan,
+    diversity_adjoint,
+    diversity_forward,
+)
 from phasediversity.objectives import hessian_diagonals
 from phasediversity.problems import build_problem
 
@@ -27,6 +32,13 @@ class FunctionObjective:
         if self._hvp is None:
             raise NotImplementedError("objective provides no Hessian action")
         return lambda h: self._hvp(z, h)
+
+
+def plan_of(plane):
+    """The plan whose one plane is ``plane``."""
+    if plane.kind == AMPLITUDE:
+        return DiversityPlan((), True)
+    return DiversityPlan((plane.defocus_waves,), False)
 
 
 def random_complex(rng, shape):

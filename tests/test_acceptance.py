@@ -32,7 +32,7 @@ from phasediversity.objectives import (
 from phasediversity.optimizers import SolverConfig, misell_iterate, solve
 from phasediversity.problems import add_poisson_noise, build_problem
 
-from conftest import random_complex, structured_hermitian_matrix
+from conftest import plan_of, random_complex, structured_hermitian_matrix
 
 
 def report(num, ok, detail):
@@ -137,8 +137,8 @@ def noisy_batches(bench32):
 def fd_instances():
     """n=8 configurations covering both plane kinds for every model."""
     plans = [
-        DiversityPlan.from_defocus([3.0], amplitude_plane=True),
-        DiversityPlan.from_defocus([-3.0, 3.0], amplitude_plane=False),
+        DiversityPlan((3.0,), True),
+        DiversityPlan((-3.0, 3.0), False),
     ]
     rng = np.random.default_rng(100)
     grid = build_problem("zernike", 8, defocus=(3.0,)).grid
@@ -236,7 +236,7 @@ def test_criterion_04_closed_forms_match_assembled_hessians():
             closed = closed_form_spectrum(model, Fu, intensity, eps).eigenvalues
             worst_eig = max(worst_eig, float(np.abs(closed - dense).max()))
             if model in ("MLP", "LS"):
-                spec = ObjectiveSpec(model, eps, DiversityPlan([plane]),
+                spec = ObjectiveSpec(model, eps, plan_of(plane),
                                      MeasurementSet([intensity]), inst.grid)
                 obj = DataMisfit(spec)
                 for _ in range(3):

@@ -613,6 +613,34 @@ class TestCli:
         assert rc == 0
         assert (out / "truth.npy").exists()
 
+    def test_config_output_dir_between_out_and_env_var(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setenv("PHASEDIVERSITY_OUTPUT_DIR", str(tmp_path / "env"))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"problem.n = 8\noutput_dir = {tmp_path / 'from_cfg'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "from_cfg" / "truth.npy").exists()
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "truth.npy").exists()
+        assert not (tmp_path / "env").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_out_naming_a_file_exits_3_and_keeps_it(self, tmp_path, capsys,
+                                                    command):
+        inst_dir = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.n=8",
+                     "--out", str(inst_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        given = [] if command == "simulate" else ["--instance", str(inst_dir)]
+        assert main([command, *given, "--set", "problem.n=8",
+                     "--set", "restarts=1", "--set", "solver.max_iters=3",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert out.read_text() == "keep me\n"
+
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("problem.n = 12\nrestarts = 1\nsolver.max_iters = 10\n")
@@ -677,7 +705,9 @@ class TestCli:
                                          "morozov.tau=nan",
                                          "summary.success_rms=0",
                                          "summary.success_rms=-1",
-                                         "summary.success_rms=nan"])
+                                         "summary.success_rms=nan",
+                                         "restarts=0", "objective.model=foo",
+                                         "restarts"])
     def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys,
                                                  command, setting):
         inst_dir = tmp_path / "inst"
@@ -685,8 +715,8 @@ class TestCli:
                      "--out", str(inst_dir)]) == 0
         capsys.readouterr()
         out = tmp_path / "run"
-        assert main([command, "--instance", str(inst_dir), "--set", setting,
-                     "--set", "restarts=1", "--set", "solver.max_iters=3",
+        assert main([command, "--instance", str(inst_dir), "--set", "restarts=1",
+                     "--set", "solver.max_iters=3", "--set", setting,
                      "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
@@ -816,11 +846,26 @@ class TestArtifactFormat:
                          "--out", str(tmp_path / command)]) == 2
             assert "cannot load instance" in capsys.readouterr().err
 
-    def test_non_finite_truth_is_load_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case", ["nan", "empty", "0-d", "strings",
+                                      "n-mismatch"])
+    def test_non_finite_truth_is_load_error(self, tmp_path, capsys, case):
+        # a NaN entry, a zero-byte file, a 0-d array, a grid of strings, and
+        # a config.txt whose problem.n is not the size of the 8 x 8 truth
         inst, args = self._simulate(tmp_path)
-        truth = np.load(inst / "truth.npy")
-        truth[4, 4] = np.nan
-        np.save(inst / "truth.npy", truth)
+        if case == "nan":
+            truth = np.load(inst / "truth.npy")
+            truth[4, 4] = np.nan
+            np.save(inst / "truth.npy", truth)
+        elif case == "empty":
+            (inst / "truth.npy").write_bytes(b"")
+        elif case == "0-d":
+            np.save(inst / "truth.npy", np.array(1.0 + 0.0j))
+        elif case == "strings":
+            np.save(inst / "truth.npy", np.full((8, 8), "1"))
+        else:
+            config = inst / "config.txt"
+            config.write_text(config.read_text().replace("problem.n = 8",
+                                                         "problem.n = 16"))
         with pytest.raises(ValueError, match="truth.npy"):
             load_instance(inst)
         morozov = ["--set", "noise.snr=20", "--set", "morozov.enabled=true"]
@@ -847,11 +892,17 @@ class TestArtifactFormat:
         assert (tmp_path / "lower" / "summary.json").read_bytes() == \
             (tmp_path / "as_written" / "summary.json").read_bytes()
         capsys.readouterr()
-        config.write_text(text.replace("= True", "= maybe"))
-        assert main(["solve", *args, "--instance", str(inst),
-                     "--out", str(tmp_path / "bad")]) == 2
-        assert "not a boolean" in capsys.readouterr().err
-        assert not (tmp_path / "bad").exists()
+        # a value the config would reject, and a missing key, which the
+        # config would default but the instance must state
+        for written, cause in ((text.replace("= True", "= maybe"), "not a boolean"),
+                               (text.replace("plan.amplitude_plane = True\n", ""),
+                                "plan.amplitude_plane")):
+            config.write_text(written)
+            assert main(["solve", *args, "--instance", str(inst),
+                         "--out", str(tmp_path / "bad")]) == 2
+            err = capsys.readouterr().err
+            assert "cannot load instance" in err and cause in err
+            assert not (tmp_path / "bad").exists()
 
     def test_config_line_without_equals_is_load_error(self, tmp_path):
         inst, args = self._simulate(tmp_path)

@@ -14,7 +14,7 @@ from phasediversity.forward import (
 )
 from phasediversity.problems import simulate_measurements
 
-from conftest import defocus_phase, random_complex
+from conftest import defocus_phase, plan_of, random_complex
 
 
 def naive_dft2(f, inverse=False):
@@ -39,7 +39,7 @@ def full_grid(n):
 
 def predicted_intensity(u, plane, grid):
     """The noiseless intensity simulate_measurements predicts on one plane."""
-    data = simulate_measurements(u, DiversityPlan([plane]), grid)
+    data = simulate_measurements(u, plan_of(plane), grid)
     return data.intensities[0]
 
 
@@ -240,20 +240,25 @@ class TestPredictIntensity:
 class TestPlanValidation:
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
-            DiversityPlan([])
+            DiversityPlan((), False)
 
-    def test_two_amplitude_planes_rejected(self):
-        with pytest.raises(ValueError):
-            DiversityPlan([PlaneSpec.amplitude(), PlaneSpec.amplitude()])
+    @pytest.mark.parametrize("defocus", [(np.nan,), (1.0, np.inf)])
+    def test_non_finite_defocus_rejected(self, defocus):
+        with pytest.raises(ValueError, match="defocus"):
+            DiversityPlan(defocus, True)
 
-    def test_amplitude_must_come_first(self):
-        with pytest.raises(ValueError):
-            DiversityPlan([PlaneSpec.defocus(1.0), PlaneSpec.amplitude()])
+    def test_non_bool_amplitude_plane_rejected(self):
+        with pytest.raises(TypeError, match="amplitude_plane"):
+            DiversityPlan((1.0,), "false")
 
-    def test_from_defocus(self):
-        plan = DiversityPlan.from_defocus([-3, 3], amplitude_plane=True)
-        assert len(plan) == 3
-        assert plan.planes[0].kind == "amplitude"
+    @pytest.mark.parametrize("amplitude", [True, False])
+    def test_pupil_first_then_defocus_in_order(self, amplitude):
+        plan = DiversityPlan([-3, 3], amplitude)
+        assert plan.defocus == (-3.0, 3.0)
+        pupil = [PlaneSpec.amplitude()] if amplitude else []
+        expected = pupil + [PlaneSpec.defocus(-3.0), PlaneSpec.defocus(3.0)]
+        assert plan.planes == tuple(expected) == tuple(plan)
+        assert len(plan) == len(expected)
 
 
 class TestPupilGrid:

@@ -26,7 +26,7 @@ from phasediversity.objectives import (
     hessian_diagonals,
 )
 
-from conftest import random_complex, structured_hermitian_matrix
+from conftest import plan_of, random_complex, structured_hermitian_matrix
 
 
 def full_grid(n):
@@ -70,7 +70,7 @@ class TestDiagonals:
         r, c = hessian_diagonals(model, diversity_forward(u, plane, grid),
                                  intensity, np.sqrt(intensity), eps)
         H = dense_hessian(r, c, plane_matrix(plane, grid))
-        spec = ObjectiveSpec(model, eps, DiversityPlan([plane]),
+        spec = ObjectiveSpec(model, eps, plan_of(plane),
                              MeasurementSet([intensity]), grid)
         obj = DataMisfit(spec)
         rng = np.random.default_rng(2)
@@ -248,20 +248,20 @@ class TestClustering:
 
 class TestLipschitzBound:
     def test_single_plane_unit_intensity(self):
-        plan = DiversityPlan([PlaneSpec.defocus(1.0)])
+        plan = DiversityPlan((1.0,), False)
         data = MeasurementSet([np.ones((2, 2))])
         spec = ObjectiveSpec("MLP", 1.0, plan, data, full_grid(2))
         assert lipschitz_bound(spec) == pytest.approx(2.0)
 
     def test_zero_data_gives_plane_count(self):
-        plan = DiversityPlan.from_defocus([-3.0, 3.0], amplitude_plane=True)
+        plan = DiversityPlan((-3.0, 3.0), True)
         data = MeasurementSet([np.zeros((2, 2))] * 3)
         for model in ("MLP", "LS"):
             spec = ObjectiveSpec(model, 1e-2, plan, data, full_grid(2))
             assert lipschitz_bound(spec) == pytest.approx(3.0)
 
     def test_lsi_has_no_global_bound(self):
-        plan = DiversityPlan([PlaneSpec.defocus(1.0)])
+        plan = DiversityPlan((1.0,), False)
         data = MeasurementSet([np.ones((2, 2))])
         with pytest.raises(ValueError):
             lipschitz_bound(ObjectiveSpec("LSI", 1e-2, plan, data, full_grid(2)))

@@ -39,7 +39,7 @@ def full_grid(n):
 def make_spec(model, n=8, eps=1e-6, defocus=(3.0,), amplitude=True, seed=0):
     rng = np.random.default_rng(seed)
     grid = full_grid(n)
-    plan = DiversityPlan.from_defocus(defocus, amplitude_plane=amplitude)
+    plan = DiversityPlan(defocus, amplitude)
     truth = np.exp(1j * rng.uniform(-np.pi, np.pi, (n, n)))
     data = MeasurementSet(
         [np.abs(diversity_forward(truth, p, grid)) ** 2 for p in plan])
@@ -108,7 +108,7 @@ class TestFloor:
                                rng.uniform(0.0, 2.0, 32)]).reshape(8, 8)
         yield ObjectiveSpec(model, eps, inst.plan, inst.data, inst.grid)
         yield ObjectiveSpec(model, eps, inst.plan, noisy, inst.grid)
-        yield ObjectiveSpec(model, eps, DiversityPlan.from_defocus((1.0,)),
+        yield ObjectiveSpec(model, eps, DiversityPlan((1.0,), False),
                             MeasurementSet([edge]), full_grid(8))
 
     @pytest.mark.parametrize("eps", [1e-14, 1e-3, 0.1])
@@ -389,7 +389,7 @@ class TestValidation:
     def test_plane_count_mismatch(self):
         spec, _ = make_spec("LS")
         with pytest.raises(ValueError):
-            ObjectiveSpec("LS", 1e-6, DiversityPlan.from_defocus([1.0]),
+            ObjectiveSpec("LS", 1e-6, DiversityPlan((1.0,), False),
                           spec.data, spec.grid)
 
     def test_unknown_model(self):

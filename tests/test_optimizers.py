@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from phasediversity.fields import _DOT_BLOCK
-from phasediversity.forward import DiversityPlan
 from phasediversity.objectives import DataMisfit, MeasurementSet, ObjectiveSpec
 from phasediversity.optimizers import (
     LbfgsMemory,
@@ -19,7 +18,7 @@ from phasediversity.optimizers import (
 )
 from phasediversity.problems import build_problem
 
-from conftest import FunctionObjective, random_complex
+from conftest import FunctionObjective, plan_of, random_complex
 
 
 def shifted_quadratic(a):
@@ -423,7 +422,7 @@ class TestMisell:
 
     def test_requires_two_planes(self):
         inst = self._consistent_problem()
-        single = DiversityPlan([inst.plan.planes[0]])
+        single = plan_of(inst.plan.planes[0])
         data = MeasurementSet([inst.data.intensities[0]])
         with pytest.raises(ValueError):
             misell_iterate(inst.truth, single, data, inst.grid, 2)

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from phasediversity.forward import PupilGrid
-from phasediversity.objectives import DataMisfit, ObjectiveSpec
+from phasediversity.objectives import DataMisfit, MeasurementSet, ObjectiveSpec
 from phasediversity.optimizers import SolverConfig, solve
 from phasediversity.problems import (
     add_poisson_noise,
@@ -163,7 +165,7 @@ class TestSimulateMeasurements:
         truth[0, 0] = 1.0
         from phasediversity.forward import DiversityPlan
 
-        data = simulate_measurements(truth, DiversityPlan.from_defocus([0.0]), grid)
+        data = simulate_measurements(truth, DiversityPlan((0.0,), False), grid)
         assert np.abs(data.intensities[0] - 1.0 / n**2).max() < 1e-14
 
     def test_flux_conservation(self, bench32):
@@ -198,8 +200,6 @@ class TestPoissonNoise:
     def test_realized_error_matches_snr(self, bench32):
         snr = 10.0
         clean = bench32.data.intensities[1]
-        from phasediversity.objectives import MeasurementSet
-
         data = MeasurementSet([clean])
         rels = []
         for seed in range(50):
@@ -208,6 +208,16 @@ class TestPoissonNoise:
                         / np.linalg.norm(clean))
         mean_rel = float(np.mean(rels))
         assert abs(mean_rel - 1.0 / snr) < 0.2 / snr
+
+    def test_all_zero_plane_stays_zero(self, bench32):
+        clean = bench32.data.intensities
+        data = MeasurementSet([clean[0], np.zeros_like(clean[1]), clean[2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noisy = add_poisson_noise(data, snr=10.0, seed=4)
+        assert np.array_equal(noisy.intensities[1], np.zeros_like(clean[1]))
+        for m in (0, 2):
+            assert not np.array_equal(noisy.intensities[m], clean[m])
 
     def test_snr_must_be_positive(self, bench32):
         with pytest.raises(ValueError):
