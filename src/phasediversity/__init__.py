@@ -8,10 +8,7 @@ an experiment CLI.
 
 from .fields import aligned_rms
 from .forward import (
-    AMPLITUDE,
-    DEFOCUS,
     DiversityPlan,
-    PlaneSpec,
     PupilGrid,
     diversity_adjoint,
     diversity_forward,

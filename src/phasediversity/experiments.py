@@ -30,7 +30,7 @@ import numpy as np
 from .fields import (atomic_open, format_floats, key_value_lines,
                      parse_bool, parse_floats, parse_key_values,
                      require_same_shape)
-from .forward import DEFOCUS, diversity_forward
+from .forward import diversity_forward
 from .hessian import (
     clustering_comparison,
     closed_form_spectrum,
@@ -521,6 +521,8 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
         else:
             u = np.load(point)
         require_same_shape(u, instance.grid.mask)
+        if not np.issubdtype(u.dtype, np.number):
+            raise ValueError(f"the point holds {u.dtype}, not numbers")
         if not np.isfinite(u).all():
             raise ValueError("the point has non-finite entries")
         matrices = [plane_matrix(plane, instance.grid) for plane in instance.plan]
@@ -544,8 +546,8 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
             models[model] = entry
         clustering = clustering_comparison(Fu, intensity, config.epsilon)
         planes.append({
-            "plane": plane.kind if plane.kind != DEFOCUS
-            else f"defocus {format_floats([plane.defocus_waves])}",
+            "plane": "amplitude" if plane is None
+            else f"defocus {format_floats([plane])}",
             "models": models,
             "clustering": asdict(clustering),
         })

@@ -1,8 +1,9 @@
 """Image-formation operator for phase-diversity measurements.
 
-A measurement plane is either the pupil itself (pointwise amplitude,
-identity operator) or a defocus plane: multiply by the unit-modulus
-quadratic phase exp(i 2 pi d (x^2 + y^2)) and take a unitary 2-D DFT.
+A measurement plane is its defocus d in waves, or ``None`` for the pupil
+itself (pointwise amplitude, identity operator).  A defocus plane
+multiplies by the unit-modulus quadratic phase exp(i 2 pi d (x^2 + y^2))
+and takes a unitary 2-D DFT.
 Both realizations are unitary, so the adjoint inverts the forward map
 exactly and total intensity is conserved across planes.
 
@@ -22,9 +23,6 @@ import numpy as np
 from .fields import require_same_shape
 
 __all__ = [
-    "AMPLITUDE",
-    "DEFOCUS",
-    "PlaneSpec",
     "DiversityPlan",
     "PupilGrid",
     "unitary_dft2",
@@ -32,37 +30,12 @@ __all__ = [
     "diversity_adjoint",
 ]
 
-AMPLITUDE = "amplitude"
-DEFOCUS = "defocus"
-
-
-@dataclass(frozen=True)
-class PlaneSpec:
-    """One measurement plane: pupil amplitude or a defocused image."""
-
-    kind: str
-    defocus_waves: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (AMPLITUDE, DEFOCUS):
-            raise ValueError(f"unknown plane kind {self.kind!r}")
-        if not np.isfinite(self.defocus_waves):
-            raise ValueError(f"defocus must be finite, got {self.defocus_waves}")
-
-    @classmethod
-    def amplitude(cls) -> "PlaneSpec":
-        return cls(AMPLITUDE)
-
-    @classmethod
-    def defocus(cls, d: float) -> "PlaneSpec":
-        return cls(DEFOCUS, float(d))
-
-
 @dataclass(frozen=True)
 class DiversityPlan:
     """The measured planes: the pupil (plane 0) if ``amplitude_plane``,
     then one defocused image per ``defocus`` entry, in that order; at least
-    one plane is required."""
+    one plane is required.  Each plane is its defocus in waves, ``None``
+    for the pupil."""
 
     defocus: tuple
     amplitude_plane: bool
@@ -80,8 +53,7 @@ class DiversityPlan:
 
     @property
     def planes(self) -> tuple:
-        pupil = (PlaneSpec.amplitude(),) if self.amplitude_plane else ()
-        return pupil + tuple(PlaneSpec.defocus(d) for d in self.defocus)
+        return (None,) * self.amplitude_plane + self.defocus
 
     def __len__(self) -> int:
         return len(self.defocus) + self.amplitude_plane
@@ -135,24 +107,21 @@ def unitary_dft2(f: np.ndarray, inverse: bool = False,
 
 
 @functools.lru_cache(maxsize=16)
-def _defocus_phase(n: int, d: float):
-    """Read-only exp(i 2 pi d (x^2+y^2)) on the n x n lattice and its
-    conjugate, built once per (n, d); the phase does not depend on the
-    pupil mask."""
+def _plane_phases(plane: float | None, n: int):
+    """The plane's read-only (phase, conjugate) pair on the n x n lattice,
+    ``None`` for the pupil plane; built once per (plane, n), since the
+    phase exp(i 2 pi d (x^2+y^2)) does not depend on the pupil mask.
+    ValueError for a non-finite defocus."""
+    if plane is None:
+        return None
+    if not np.isfinite(plane):
+        raise ValueError(f"defocus must be finite, got {plane}")
     x, y = PupilGrid.coordinates(n)
-    phase = np.exp(2j * np.pi * d * (x * x + y * y))
+    phase = np.exp(2j * np.pi * plane * (x * x + y * y))
     conj = np.conj(phase)
     phase.flags.writeable = False
     conj.flags.writeable = False
     return phase, conj
-
-
-def _plane_phases(plane: PlaneSpec, grid: PupilGrid):
-    """The plane's read-only (phase, conjugate) pair, ``None`` for the
-    amplitude plane."""
-    if plane.kind == AMPLITUDE:
-        return None
-    return _defocus_phase(grid.n, plane.defocus_waves)
 
 
 def _forward(u: np.ndarray, phases, out: np.ndarray | None) -> np.ndarray:
@@ -172,25 +141,25 @@ def _adjoint(v: np.ndarray, phases, out: np.ndarray | None) -> np.ndarray:
     return np.multiply(phases[1], w, out=w)
 
 
-def diversity_forward(u: np.ndarray, plane: PlaneSpec,
+def diversity_forward(u: np.ndarray, plane: float | None,
                       grid: PupilGrid) -> np.ndarray:
     """Apply the plane's forward operator to the pupil field ``u``.
 
-    The amplitude plane is the identity and returns ``u`` itself (as a
-    complex array) without copying.
+    The pupil plane (``None``) is the identity and returns ``u`` itself
+    (as a complex array) without copying.
     """
     u = np.asarray(u, dtype=complex)
     require_same_shape(u, grid.mask)
-    return _forward(u, _plane_phases(plane, grid), None)
+    return _forward(u, _plane_phases(plane, grid.n), None)
 
 
-def diversity_adjoint(v: np.ndarray, plane: PlaneSpec,
+def diversity_adjoint(v: np.ndarray, plane: float | None,
                       grid: PupilGrid) -> np.ndarray:
     """Adjoint (= inverse, by unitarity) of :func:`diversity_forward`.
 
-    The amplitude plane returns ``v`` itself (as a complex array) without
-    copying.
+    The pupil plane (``None``) returns ``v`` itself (as a complex array)
+    without copying.
     """
     v = np.asarray(v, dtype=complex)
     require_same_shape(v, grid.mask)
-    return _adjoint(v, _plane_phases(plane, grid), None)
+    return _adjoint(v, _plane_phases(plane, grid.n), None)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forward import PlaneSpec, PupilGrid, diversity_forward
+from .forward import PupilGrid, diversity_forward
 from .objectives import ObjectiveSpec
 
 __all__ = [
@@ -109,7 +109,7 @@ def _check_dense_size(npix: int) -> None:
             f"(got {npix}); it is a verification tool, not a solver path")
 
 
-def plane_matrix(plane: PlaneSpec, grid: PupilGrid) -> np.ndarray:
+def plane_matrix(plane: float | None, grid: PupilGrid) -> np.ndarray:
     """Dense matrix of the plane's unitary operator (row-major pixel order)."""
     npix = grid.n * grid.n
     _check_dense_size(npix)

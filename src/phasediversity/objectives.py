@@ -177,7 +177,7 @@ class DataMisfit:
     def __init__(self, spec: ObjectiveSpec):
         self.spec = spec
         self.fft_calls = 0
-        self._phases = [_plane_phases(p, spec.grid) for p in spec.plan]
+        self._phases = [_plane_phases(p, spec.grid.n) for p in spec.plan]
         self._defocus_planes = len(spec.plan.defocus)
         shape = (len(self._phases), *spec.grid.mask.shape)
         self._field = np.empty(shape, dtype=complex)

@@ -101,6 +101,11 @@ class SolverConfig:
             raise ValueError("lbfgs_memory must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        for name in ("tol_fun", "tol_x", "grad_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, "
+                                 f"got {value}")
         if self.tn_cg_max is not None and self.tn_cg_max < 1:
             raise ValueError("tn_cg_max must be >= 1 or none")
         if self.seed < 0:
@@ -469,9 +474,8 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
 
 
 def _defocus_amplitudes(plan: DiversityPlan, data: MeasurementSet):
-    """(plane, measured amplitude) of the planes after the pupil plane."""
-    pupil = int(plan.amplitude_plane)
-    return list(zip(plan.planes[pupil:], data.amplitudes[pupil:]))
+    """(defocus, measured amplitude) of the planes after the pupil plane."""
+    return list(zip(plan.defocus, data.amplitudes[plan.amplitude_plane:]))
 
 
 def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,

@@ -379,22 +379,34 @@ def build_problem(ptype: str, n: int, seed: int = 0,
 # Instance directory layout: config.txt, truth.npy, plane_XX.csv
 # ---------------------------------------------------------------------------
 
+def _plane_files(path: Path, count: int):
+    """The files of planes 0..count-1 in ``path``, and its other
+    ``plane_*.csv`` files."""
+    planes = [path / f"plane_{m:02d}.csv" for m in range(count)]
+    return planes, sorted(set(path.glob("plane_*.csv")).difference(planes))
+
+
 def save_instance(instance: ProblemInstance, path) -> None:
+    """Write the instance to ``path``, removing plane files that an earlier
+    instance with more planes left there."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     with atomic_open(path / "config.txt") as fh:
         fh.write(key_value_lines(instance.meta))
     save_field(path / "truth.npy", instance.truth)
-    for m, intensity in enumerate(instance.data.intensities):
-        field_to_csv(path / f"plane_{m:02d}.csv", intensity, header=instance.meta)
+    planes, stale = _plane_files(path, len(instance.plan))
+    for file, intensity in zip(planes, instance.data.intensities):
+        field_to_csv(file, intensity, header=instance.meta)
+    for file in stale:
+        file.unlink()
 
 
 def load_instance(path) -> ProblemInstance:
     """Read a :func:`save_instance` directory; KeyError on a ``config.txt``
     without ``problem.n`` or a plan key, ValueError on a malformed line or
     value of them (parsed as the config parses it), a ``truth.npy`` that
-    is not a finite numeric n x n grid, or a plane whose shape differs
-    from the truth's."""
+    is not a finite numeric n x n grid, a plane whose shape differs from
+    the truth's, or a ``plane_*.csv`` that the plan does not name."""
     path = Path(path)
     with open(path / "config.txt") as fh:
         meta = parse_key_values(fh)
@@ -412,8 +424,11 @@ def load_instance(path) -> ProblemInstance:
     grid = PupilGrid(n, np.abs(truth) > 0.5)
     plan = DiversityPlan(parse_floats(meta["plan.defocus"]),
                          parse_bool(meta["plan.amplitude_plane"]))
-    intensities = [field_from_csv(path / f"plane_{m:02d}.csv")
-                   for m in range(len(plan))]
+    planes, stray = _plane_files(path, len(plan))
+    if stray:
+        raise ValueError(f"{stray[0]} is not one of the {len(plan)} planes "
+                         f"of the plan in config.txt")
+    intensities = [field_from_csv(file) for file in planes]
     for intensity in intensities:
         require_same_shape(intensity, truth)
     return ProblemInstance(grid, truth, plan, MeasurementSet(intensities), meta)

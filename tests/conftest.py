@@ -3,7 +3,6 @@ import pytest
 
 from phasediversity.experiments import initial_guess
 from phasediversity.forward import (
-    AMPLITUDE,
     DiversityPlan,
     diversity_adjoint,
     diversity_forward,
@@ -36,9 +35,9 @@ class FunctionObjective:
 
 def plan_of(plane):
     """The plan whose one plane is ``plane``."""
-    if plane.kind == AMPLITUDE:
+    if plane is None:
         return DiversityPlan((), True)
-    return DiversityPlan((plane.defocus_waves,), False)
+    return DiversityPlan((plane,), False)
 
 
 def random_complex(rng, shape):

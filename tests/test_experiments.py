@@ -25,7 +25,6 @@ from phasediversity.experiments import (
     simulate,
 )
 from phasediversity.fields import field_from_csv
-from phasediversity.forward import AMPLITUDE, DEFOCUS
 from phasediversity.objectives import DataMisfit, ObjectiveSpec
 from phasediversity.optimizers import RunTrace
 from phasediversity.problems import load_instance
@@ -545,7 +544,7 @@ class TestAnalyzeHessian:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         run_analyze_hessian(cfg, inst, "random", tmp_path / "hx")
-        defocus_planes = sum(p.kind == DEFOCUS for p in inst.plan)
+        defocus_planes = len(inst.plan.defocus)
         assert len(calls) == defocus_planes * (8 * 8 + 1) == 130
 
 
@@ -663,12 +662,12 @@ class TestCli:
         assert (tmp_path / "hx" / "hessian_analysis.json").exists()
 
     @pytest.mark.parametrize("case", ["not_npy", "wrong_shape", "too_large",
-                                      "nan", "inf"])
+                                      "nan", "inf", "strings", "bool"])
     def test_analyze_hessian_bad_input_exits_2_before_any_output(
             self, tmp_path, capsys, case):
         # a text file as the point, a point of the wrong shape, an instance
-        # above the dense-assembly size limit, and a point with one NaN or
-        # infinite entry
+        # above the dense-assembly size limit, a point with one NaN or
+        # infinite entry, and a grid of strings or of booleans
         inst_dir = tmp_path / "inst"
         n = 16 if case == "too_large" else 8
         assert main(["simulate", "--set", f"problem.n={n}",
@@ -677,10 +676,14 @@ class TestCli:
                         "wrong_shape": (str(tmp_path / "small.npy"), "shape"),
                         "too_large": ("truth", "limited to 64 pixels"),
                         "nan": (str(tmp_path / "bad.npy"), "non-finite"),
-                        "inf": (str(tmp_path / "bad.npy"), "non-finite")}[case]
+                        "inf": (str(tmp_path / "bad.npy"), "non-finite"),
+                        "strings": (str(tmp_path / "bad.npy"), "not numbers"),
+                        "bool": (str(tmp_path / "bad.npy"), "not numbers")}[case]
         np.save(tmp_path / "small.npy", np.ones((4, 4), dtype=complex))
-        bad = np.ones((8, 8), dtype=complex)
-        bad[3, 4] = np.nan if case == "nan" else np.inf
+        bad = np.ones((8, 8), dtype={"strings": str, "bool": bool}.get(case,
+                                                                     complex))
+        if case in ("nan", "inf"):
+            bad[3, 4] = np.nan if case == "nan" else np.inf
         np.save(tmp_path / "bad.npy", bad)
         capsys.readouterr()
         out = tmp_path / "hx"
@@ -707,7 +710,16 @@ class TestCli:
                                          "summary.success_rms=-1",
                                          "summary.success_rms=nan",
                                          "restarts=0", "objective.model=foo",
-                                         "restarts"])
+                                         "restarts",
+                                         "solver.tol_fun=nan",
+                                         "solver.tol_fun=inf",
+                                         "solver.tol_fun=-1",
+                                         "solver.tol_x=nan",
+                                         "solver.tol_x=inf",
+                                         "solver.tol_x=-1",
+                                         "solver.grad_tol=nan",
+                                         "solver.grad_tol=inf",
+                                         "solver.grad_tol=-1"])
     def test_bad_value_exits_2_before_any_output(self, tmp_path, capsys,
                                                  command, setting):
         inst_dir = tmp_path / "inst"
@@ -846,6 +858,31 @@ class TestArtifactFormat:
                          "--out", str(tmp_path / command)]) == 2
             assert "cannot load instance" in capsys.readouterr().err
 
+    def test_plane_file_outside_the_plan_is_load_error(self, tmp_path, capsys):
+        # plan.defocus edited from -3,3 to -3 leaves plane_02.csv unnamed
+        inst, args = self._simulate(tmp_path)
+        config = inst / "config.txt"
+        config.write_text(config.read_text().replace("plan.defocus = -3,3",
+                                                     "plan.defocus = -3"))
+        with pytest.raises(ValueError, match="plane_02.csv"):
+            load_instance(inst)
+        out = tmp_path / "run"
+        assert main(["solve", *args, "--instance", str(inst),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load instance" in err and "plane_02.csv" in err
+        assert not out.exists()
+
+    def test_simulate_removes_planes_of_a_larger_instance(self, tmp_path):
+        inst = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.n=8",
+                     "--set", "plan.defocus=-3,0,3", "--out", str(inst)]) == 0
+        assert (inst / "plane_03.csv").exists()
+        inst, args = self._simulate(tmp_path)
+        assert sorted(p.name for p in inst.glob("plane_*.csv")) == [
+            "plane_00.csv", "plane_01.csv", "plane_02.csv"]
+        assert len(load_instance(inst).plan) == 3
+
     @pytest.mark.parametrize("case", ["nan", "empty", "0-d", "strings",
                                       "n-mismatch"])
     def test_non_finite_truth_is_load_error(self, tmp_path, capsys, case):
@@ -886,7 +923,7 @@ class TestArtifactFormat:
         text = config.read_text()
         assert "plan.amplitude_plane = True\n" in text
         config.write_text(text.replace("= True", "= true"))
-        assert load_instance(inst).plan.planes[0].kind == AMPLITUDE
+        assert load_instance(inst).plan.planes[0] is None
         assert main(["solve", *args, "--instance", str(inst),
                      "--out", str(tmp_path / "lower")]) == 0
         assert (tmp_path / "lower" / "summary.json").read_bytes() == \

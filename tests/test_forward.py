@@ -3,7 +3,6 @@ import pytest
 
 from phasediversity.forward import (
     DiversityPlan,
-    PlaneSpec,
     PupilGrid,
     _adjoint,
     _forward,
@@ -12,6 +11,7 @@ from phasediversity.forward import (
     diversity_forward,
     unitary_dft2,
 )
+from phasediversity.hessian import plane_matrix
 from phasediversity.problems import simulate_measurements
 
 from conftest import defocus_phase, plan_of, random_complex
@@ -80,12 +80,12 @@ class TestDefocusDiag:
 
     def test_zero_defocus_is_ones(self):
         grid = full_grid(8)
-        for half in _plane_phases(PlaneSpec.defocus(0.0), grid):
+        for half in _plane_phases(0.0, grid.n):
             assert np.allclose(half, 1.0)
 
     def test_unit_modulus(self):
         grid = full_grid(16)
-        phase, conj = _plane_phases(PlaneSpec.defocus(3.0), grid)
+        phase, conj = _plane_phases(3.0, grid.n)
         assert np.abs(np.abs(phase) - 1.0).max() < 1e-15
         assert np.array_equal(conj, np.conj(phase))
 
@@ -93,47 +93,49 @@ class TestDefocusDiag:
         # x = 1/4 at column index 3n/4, y = 0 at row index n/2
         n = 8
         grid = full_grid(n)
-        phase, _ = _plane_phases(PlaneSpec.defocus(3.0), grid)
+        phase, _ = _plane_phases(3.0, grid.n)
         got = phase[n // 2, 3 * n // 4]
         assert got == pytest.approx(np.exp(1j * 3 * np.pi / 8))
 
     def test_amplitude_plane_has_no_phase(self):
-        assert _plane_phases(PlaneSpec.amplitude(), full_grid(4)) is None
+        assert _plane_phases(None, 4) is None
 
     @pytest.mark.parametrize("n, d", [(8, 3.0), (32, -3.0), (33, 0.7), (128, 2.5)])
     def test_equals_uncached_formula_bit_for_bit(self, n, d):
         want = defocus_phase(n, d)
         for _ in range(2):  # the first call may build, the second hits the cache
-            got, conj = _plane_phases(PlaneSpec.defocus(d), full_grid(n))
+            got, conj = _plane_phases(d, n)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
             assert conj.tobytes() == np.conj(want).tobytes()
 
     def test_cached_phase_is_read_only(self):
-        for half in _plane_phases(PlaneSpec.defocus(3.0), full_grid(16)):
+        for half in _plane_phases(3.0, 16):
             assert not half.flags.writeable
             with pytest.raises(ValueError):
                 half[0, 0] = 0.0
-        for half in _plane_phases(PlaneSpec.defocus(3.0), full_grid(16)):
+        for half in _plane_phases(3.0, 16):
             assert half[0, 0] != 0.0
 
     def test_phase_shared_across_masks_of_equal_n(self):
         n = 16
         x, y = PupilGrid.coordinates(n)
         disc = PupilGrid(n, x * x + y * y <= 0.2)
-        plane = PlaneSpec.defocus(-1.5)
-        assert _plane_phases(plane, disc) is _plane_phases(plane, full_grid(n))
+        u = random_complex(np.random.default_rng(2), (n, n))
+        got = diversity_forward(u, -1.5, disc)
+        assert got.tobytes() == diversity_forward(u, -1.5, full_grid(n)).tobytes()
+        assert _plane_phases(-1.5, disc.n) is _plane_phases(-1.5, n)
 
 
 class TestDiversityOperators:
     def test_amplitude_plane_is_identity(self):
         grid = full_grid(6)
         u = random_complex(np.random.default_rng(3), (6, 6))
-        assert np.array_equal(diversity_forward(u, PlaneSpec.amplitude(), grid), u)
-        assert np.array_equal(diversity_adjoint(u, PlaneSpec.amplitude(), grid), u)
+        assert np.array_equal(diversity_forward(u, None, grid), u)
+        assert np.array_equal(diversity_adjoint(u, None, grid), u)
         # a complex input is returned as is, without a copy
-        assert diversity_forward(u, PlaneSpec.amplitude(), grid) is u
-        assert diversity_adjoint(u, PlaneSpec.amplitude(), grid) is u
+        assert diversity_forward(u, None, grid) is u
+        assert diversity_adjoint(u, None, grid) is u
 
     def test_out_receives_defocus_planes_only(self):
         # the private cores behind the public operators take ``out``
@@ -141,8 +143,8 @@ class TestDiversityOperators:
         rng = np.random.default_rng(7)
         u = random_complex(rng, (8, 8))
         kept = u.copy()
-        plane = PlaneSpec.defocus(2.5)
-        phases = _plane_phases(plane, grid)
+        plane = 2.5
+        phases = _plane_phases(plane, grid.n)
         for core, op in ((_forward, diversity_forward),
                          (_adjoint, diversity_adjoint)):
             fresh = op(u, plane, grid)
@@ -158,13 +160,13 @@ class TestDiversityOperators:
     def test_zero_defocus_reduces_to_dft(self):
         grid = full_grid(6)
         u = random_complex(np.random.default_rng(4), (6, 6))
-        assert np.allclose(diversity_forward(u, PlaneSpec.defocus(0.0), grid),
+        assert np.allclose(diversity_forward(u, 0.0, grid),
                            unitary_dft2(u))
 
     def test_adjoint_identity(self):
         grid = full_grid(8)
         rng = np.random.default_rng(5)
-        plane = PlaneSpec.defocus(3.0)
+        plane = 3.0
         u = random_complex(rng, (8, 8))
         v = random_complex(rng, (8, 8))
         lhs = np.vdot(diversity_forward(u, plane, grid), v)
@@ -174,14 +176,14 @@ class TestDiversityOperators:
     def test_adjoint_inverts_forward(self):
         grid = full_grid(8)
         u = random_complex(np.random.default_rng(6), (8, 8))
-        for plane in (PlaneSpec.amplitude(), PlaneSpec.defocus(-2.5)):
+        for plane in (None, -2.5):
             assert np.allclose(
                 diversity_adjoint(diversity_forward(u, plane, grid), plane, grid), u)
 
     def test_adjoint_matches_dense_conjugate_transpose(self):
         n = 4
         grid = full_grid(n)
-        plane = PlaneSpec.defocus(-3.0)
+        plane = -3.0
         npix = n * n
         U = np.zeros((npix, npix), dtype=complex)
         for j in range(npix):
@@ -196,15 +198,14 @@ class TestDiversityOperators:
         grid = full_grid(16)
         rng = np.random.default_rng(8)
         u = random_complex(rng, (16, 16))
-        for plane in (PlaneSpec.amplitude(), PlaneSpec.defocus(-3.0),
-                      PlaneSpec.defocus(3.0), PlaneSpec.defocus(0.7)):
+        for plane in (None, -3.0, 3.0, 0.7):
             got = np.linalg.norm(diversity_forward(u, plane, grid))
             assert abs(got - np.linalg.norm(u)) < 1e-12 * np.linalg.norm(u)
 
     def test_adjointness_hundred_trials(self):
         grid = full_grid(8)
         rng = np.random.default_rng(9)
-        plane = PlaneSpec.defocus(1.7)
+        plane = 1.7
         for _ in range(100):
             u = random_complex(rng, (8, 8))
             v = random_complex(rng, (8, 8))
@@ -217,20 +218,20 @@ class TestPredictIntensity:
     def test_unit_amplitudes_on_amplitude_plane(self):
         grid = full_grid(5)
         u = np.exp(1j * np.random.default_rng(10).uniform(size=(5, 5)))
-        assert np.allclose(predicted_intensity(u, PlaneSpec.amplitude(), grid),
+        assert np.allclose(predicted_intensity(u, None, grid),
                            1.0)
 
     def test_total_intensity_conserved(self):
         grid = full_grid(12)
         u = random_complex(np.random.default_rng(11), (12, 12))
         for d in (-3.0, 0.0, 1.3, 3.0):
-            total = predicted_intensity(u, PlaneSpec.defocus(d), grid).sum()
+            total = predicted_intensity(u, d, grid).sum()
             assert total == pytest.approx(np.linalg.norm(u) ** 2)
 
     def test_matches_naive_dft(self):
         n = 4
         grid = full_grid(n)
-        plane = PlaneSpec.defocus(3.0)
+        plane = 3.0
         u = random_complex(np.random.default_rng(12), (n, n))
         oracle = np.abs(naive_dft2(defocus_phase(n, 3.0) * u)) ** 2
         got = predicted_intensity(u, plane, grid)
@@ -255,10 +256,20 @@ class TestPlanValidation:
     def test_pupil_first_then_defocus_in_order(self, amplitude):
         plan = DiversityPlan([-3, 3], amplitude)
         assert plan.defocus == (-3.0, 3.0)
-        pupil = [PlaneSpec.amplitude()] if amplitude else []
-        expected = pupil + [PlaneSpec.defocus(-3.0), PlaneSpec.defocus(3.0)]
-        assert plan.planes == tuple(expected) == tuple(plan)
+        expected = (None, -3.0, 3.0) if amplitude else (-3.0, 3.0)
+        assert plan.planes == expected == tuple(plan)
         assert len(plan) == len(expected)
+
+    @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operator", ["forward", "adjoint", "matrix"])
+    def test_operators_reject_non_finite_defocus(self, operator, d):
+        grid = full_grid(4)
+        u = np.ones((4, 4), dtype=complex)
+        apply = {"forward": lambda: diversity_forward(u, d, grid),
+                 "adjoint": lambda: diversity_adjoint(u, d, grid),
+                 "matrix": lambda: plane_matrix(d, grid)}[operator]
+        with pytest.raises(ValueError, match="defocus must be finite"):
+            apply()
 
 
 class TestPupilGrid:

@@ -5,7 +5,6 @@ import pytest
 
 from phasediversity.forward import (
     DiversityPlan,
-    PlaneSpec,
     PupilGrid,
     diversity_forward,
 )
@@ -38,10 +37,9 @@ def random_unitary(rng, N):
     return Q
 
 
-def plane_setup(n=4, d=3.0, seed=0):
+def plane_setup(n=4, plane=3.0, seed=0):
     rng = np.random.default_rng(seed)
     grid = full_grid(n)
-    plane = PlaneSpec.defocus(d)
     truth = np.exp(1j * rng.uniform(-np.pi, np.pi, (n, n)))
     intensity = np.abs(diversity_forward(truth, plane, grid)) ** 2
     u = random_complex(rng, (n, n))
@@ -130,7 +128,7 @@ class TestClosedFormSpectrum:
     def test_matches_dense_eigensolver(self, model, plane_kind):
         grid, plane, _, intensity, u = plane_setup(seed=4)
         if plane_kind == "amplitude":
-            plane = PlaneSpec.amplitude()
+            plane = None
             intensity = np.abs(u) ** 2 * 0.5 + 0.1
         eps = 1e-2
         Fu = diversity_forward(u, plane, grid)
@@ -180,7 +178,7 @@ class TestDenseGuard:
     def test_size_guard(self):
         grid = full_grid(16)  # 256 pixels > limit
         with pytest.raises(ValueError):
-            plane_matrix(PlaneSpec.defocus(1.0), grid)
+            plane_matrix(1.0, grid)
         with pytest.raises(ValueError):
             dense_hessian(np.zeros(256), np.zeros(256), np.eye(256))
 
@@ -201,7 +199,7 @@ class TestWeylBounds:
         rng = np.random.default_rng(8)
         n = 4
         grid = full_grid(n)
-        planes = [PlaneSpec.defocus(-3.0), PlaneSpec.defocus(3.0)]
+        planes = [-3.0, 3.0]
         truth = np.exp(1j * rng.uniform(-np.pi, np.pi, (n, n)))
         data = [np.abs(diversity_forward(truth, p, grid)) ** 2 for p in planes]
         u = random_complex(rng, (n, n))
@@ -233,7 +231,7 @@ class TestClustering:
         # A pixel predicting a quarter of the measured intensity gives a
         # Poisson-model eigenvalue near 1 + 4.
         grid = full_grid(4)
-        plane = PlaneSpec.amplitude()
+        plane = None
         u = np.full((4, 4), 0.5 + 0.0j)
         intensity = np.ones((4, 4))
         eps = 1e-10
