@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (atomic_open, format_floats, key_value_lines,
-                     parse_bool, parse_floats, parse_key_values,
-                     require_same_shape)
+                     load_field, parse_bool, parse_floats, parse_key_values)
 from .forward import diversity_forward
 from .hessian import (
     clustering_comparison,
@@ -127,8 +126,10 @@ class ExperimentConfig:
                               f"got {self.model!r}")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
-        if self.noise_seed < 0:
-            raise ConfigError(f"noise.seed must be >= 0, got {self.noise_seed}")
+        for key, seed in (("problem.seed", self.problem_seed),
+                          ("noise.seed", self.noise_seed)):
+            if seed < 0:
+                raise ConfigError(f"{key} must be >= 0, got {seed}")
         for key, value in (("morozov.tau", self.morozov_tau),
                            ("summary.success_rms", self.success_rms),
                            ("noise.snr", self.snr)):
@@ -292,21 +293,23 @@ def reconcile_noise(config: ExperimentConfig,
 _INSTANCE = ("problem.", "plan.", "noise.")
 
 
-def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
+def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir,
+             runs_method: bool = True):
     """Runner prologue, run once per batch: the instance with the config's
     noise added, the created output directory and the config to embed.
 
-    A bad value (noise, epsilon, a plan the method cannot use) is a
-    ConfigError raised before the output directory exists.  The embedded
-    config takes its ``problem.*``, ``plan.*`` and ``noise.*`` keys from
-    the instance, and any of them the config sets itself must agree.
+    A bad value (noise, epsilon, a plan the method cannot use if the runner
+    ``runs_method``) is a ConfigError raised before the output directory
+    exists.  The embedded config takes its ``problem.*``, ``plan.*`` and
+    ``noise.*`` keys from the instance; any of them the config sets must agree.
     """
     try:
         instance = reconcile_noise(config, instance)
         _objective_spec(config, instance)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.solver.method == "MISELL" and len(instance.plan.defocus) < 2:
+    if (runs_method and config.solver.method == "MISELL"
+            and len(instance.plan.defocus) < 2):
         raise ConfigError("the projection baseline needs at least two defocus planes")
     wants = config.to_flat()
     own = {k: str(v) for k, v in wants.items() if not k.startswith(_INSTANCE)}
@@ -437,7 +440,7 @@ def run_compare_methods(config: ExperimentConfig, instance: ProblemInstance,
     A failure inside one restart is recorded on its row and does not abort
     the comparison.
     """
-    instance, out, flat = _prepare(config, instance, out_dir)
+    instance, out, flat = _prepare(config, instance, out_dir, runs_method=False)
     table = []
     for method in COMPARE_METHODS:
         batch = replace(config, solver=replace(config.solver, method=method))
@@ -519,16 +522,11 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
         elif point == "random":
             u = initial_guess(instance.grid.mask, config.solver.seed)
         else:
-            u = np.load(point)
-        require_same_shape(u, instance.grid.mask)
-        if not np.issubdtype(u.dtype, np.number):
-            raise ValueError(f"the point holds {u.dtype}, not numbers")
-        if not np.isfinite(u).all():
-            raise ValueError("the point has non-finite entries")
+            u = load_field(point, instance.grid.mask.shape)
         matrices = [plane_matrix(plane, instance.grid) for plane in instance.plan]
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot analyze at point {point}: {exc}") from exc
-    instance, out, flat = _prepare(config, instance, out_dir)
+    instance, out, flat = _prepare(config, instance, out_dir, runs_method=False)
     planes = []
     data = instance.data
     for plane, intensity, amplitude, U in zip(instance.plan, data.intensities,
@@ -551,8 +549,7 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
             "models": models,
             "clustering": asdict(clustering),
         })
-    payload = {"config": flat, "point": str(point),
-               "planes": planes}
+    payload = {"config": flat, "point": str(point), "planes": planes}
     _write_json(out / "hessian_analysis.json", payload)
     return payload
 

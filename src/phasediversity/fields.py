@@ -9,8 +9,9 @@ The module also owns the on-disk formats: one ``key = value`` codec
 (:func:`key_value_lines` / :func:`parse_key_values`, with the value
 parsers :func:`parse_bool` / :func:`parse_floats` and the exact float-list
 writer :func:`format_floats`) for ``config.txt`` and every CSV's
-``# key = value`` header, real-valued CSV fields through
-numpy, complex fields as ``.npy``, all written by :func:`atomic_open`.
+``# key = value`` header, and fields as real-valued CSV or complex
+``.npy``, written by :func:`atomic_open` and read only with the shape
+they must have, by :func:`field_from_csv` or :func:`load_field`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "parse_floats",
     "format_floats",
     "save_field",
+    "load_field",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -176,6 +178,22 @@ def save_field(path, arr: np.ndarray) -> None:
         np.save(fh, np.asarray(arr))
 
 
+def load_field(path, shape) -> np.ndarray:
+    """The finite numeric array of ``shape`` that :func:`save_field` wrote;
+    any other file (zero bytes, an ``.npz``) is a ValueError naming ``path``."""
+    try:
+        arr = np.load(path)
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not np.issubdtype(getattr(arr, "dtype", object), np.number):
+        raise ValueError(f"{path} is not an array of numbers")
+    if arr.shape != shape:
+        raise ValueError(f"{path} has shape {arr.shape}, not {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path} has non-finite entries")
+    return arr
+
+
 def field_to_csv(path, arr: np.ndarray, header: dict | None = None) -> None:
     """Write a real-valued field as CSV, one line per grid row.
 
@@ -187,11 +205,11 @@ def field_to_csv(path, arr: np.ndarray, header: dict | None = None) -> None:
         np.savetxt(fh, np.atleast_2d(arr), fmt="%.17g", delimiter=",")
 
 
-def field_from_csv(path) -> np.ndarray:
-    """Read a float field written by :func:`field_to_csv`."""
+def field_from_csv(path, shape) -> np.ndarray:
+    """Read a float field of ``shape`` written by :func:`field_to_csv`."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty input, raised below
         arr = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if not arr.size:
-        raise ValueError(f"no data rows in {path}")
+    if arr.shape != shape:
+        raise ValueError(f"{path} has shape {arr.shape}, not {shape}")
     return arr

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forward import PupilGrid, diversity_forward
+from .forward import PupilGrid, _forward, _plane_phases
 from .objectives import ObjectiveSpec
 
 __all__ = [
@@ -113,12 +113,9 @@ def plane_matrix(plane: float | None, grid: PupilGrid) -> np.ndarray:
     """Dense matrix of the plane's unitary operator (row-major pixel order)."""
     npix = grid.n * grid.n
     _check_dense_size(npix)
-    U = np.zeros((npix, npix), dtype=complex)
-    for j in range(npix):
-        e = np.zeros(npix, dtype=complex)
-        e[j] = 1.0
-        U[:, j] = diversity_forward(e.reshape(grid.n, grid.n), plane, grid).ravel()
-    return U
+    pixels = np.eye(npix, dtype=complex).reshape(npix, grid.n, grid.n)
+    columns = _forward(pixels, _plane_phases(plane, grid.n), None)
+    return columns.reshape(npix, npix).T
 
 
 def dense_hessian(r: np.ndarray, c: np.ndarray, U: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (atomic_open, field_from_csv, field_to_csv, format_floats,
-                     key_value_lines, parse_bool, parse_floats,
-                     parse_key_values, require_same_shape, save_field)
+                     key_value_lines, load_field, parse_bool, parse_floats,
+                     parse_key_values, save_field)
 from .forward import DiversityPlan, PupilGrid, diversity_forward
 from .objectives import MeasurementSet
 
@@ -404,23 +404,13 @@ def save_instance(instance: ProblemInstance, path) -> None:
 def load_instance(path) -> ProblemInstance:
     """Read a :func:`save_instance` directory; KeyError on a ``config.txt``
     without ``problem.n`` or a plan key, ValueError on a malformed line or
-    value of them (parsed as the config parses it), a ``truth.npy`` that
-    is not a finite numeric n x n grid, a plane whose shape differs from
-    the truth's, or a ``plane_*.csv`` that the plan does not name."""
+    value of them (parsed as the config parses it), a truth or plane file
+    not a finite n x n grid, or a ``plane_*.csv`` the plan does not name."""
     path = Path(path)
     with open(path / "config.txt") as fh:
         meta = parse_key_values(fh)
     n = int(meta["problem.n"])
-    try:
-        truth = np.load(path / "truth.npy")
-    except (OSError, EOFError, ValueError) as exc:
-        raise ValueError(f"cannot read {path / 'truth.npy'}: {exc}") from exc
-    if truth.shape != (n, n) or not np.issubdtype(truth.dtype, np.number):
-        raise ValueError(f"{path / 'truth.npy'} holds {truth.dtype} of shape "
-                         f"{truth.shape}, not the ({n}, {n}) numeric grid of "
-                         f"problem.n = {n}")
-    if not np.isfinite(truth).all():
-        raise ValueError(f"{path / 'truth.npy'} has non-finite entries")
+    truth = load_field(path / "truth.npy", (n, n))
     grid = PupilGrid(n, np.abs(truth) > 0.5)
     plan = DiversityPlan(parse_floats(meta["plan.defocus"]),
                          parse_bool(meta["plan.amplitude_plane"]))
@@ -428,7 +418,5 @@ def load_instance(path) -> ProblemInstance:
     if stray:
         raise ValueError(f"{stray[0]} is not one of the {len(plan)} planes "
                          f"of the plan in config.txt")
-    intensities = [field_from_csv(file) for file in planes]
-    for intensity in intensities:
-        require_same_shape(intensity, truth)
+    intensities = [field_from_csv(file, (n, n)) for file in planes]
     return ProblemInstance(grid, truth, plan, MeasurementSet(intensities), meta)

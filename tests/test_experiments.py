@@ -533,8 +533,8 @@ class TestAnalyzeHessian:
             run_analyze_hessian(cfg, inst, "nope.npy", tmp_path / "hx")
 
     def test_transforms_the_point_once_per_plane(self, tmp_path, monkeypatch):
-        # each defocus plane's dense matrix takes one transform per pixel
-        # (the amplitude plane's none), then the point is transformed once
+        # each defocus plane's dense matrix takes one stacked transform of
+        # all pixels (the amplitude plane's none), then the point one more
         cfg = small_config(**{"problem.n": 8})
         inst = build_instance(cfg)
         calls = []
@@ -545,7 +545,7 @@ class TestAnalyzeHessian:
             monkeypatch.setattr(np.fft, name, counted)
         run_analyze_hessian(cfg, inst, "random", tmp_path / "hx")
         defocus_planes = len(inst.plan.defocus)
-        assert len(calls) == defocus_planes * (8 * 8 + 1) == 130
+        assert len(calls) == defocus_planes * (1 + 1) == 4
 
 
 class TestCli:
@@ -662,12 +662,14 @@ class TestCli:
         assert (tmp_path / "hx" / "hessian_analysis.json").exists()
 
     @pytest.mark.parametrize("case", ["not_npy", "wrong_shape", "too_large",
-                                      "nan", "inf", "strings", "bool"])
+                                      "nan", "inf", "strings", "bool",
+                                      "empty", "npz"])
     def test_analyze_hessian_bad_input_exits_2_before_any_output(
             self, tmp_path, capsys, case):
         # a text file as the point, a point of the wrong shape, an instance
         # above the dense-assembly size limit, a point with one NaN or
-        # infinite entry, and a grid of strings or of booleans
+        # infinite entry, a grid of strings or of booleans, a zero-byte
+        # file, and an .npz archive
         inst_dir = tmp_path / "inst"
         n = 16 if case == "too_large" else 8
         assert main(["simulate", "--set", f"problem.n={n}",
@@ -677,14 +679,22 @@ class TestCli:
                         "too_large": ("truth", "limited to 64 pixels"),
                         "nan": (str(tmp_path / "bad.npy"), "non-finite"),
                         "inf": (str(tmp_path / "bad.npy"), "non-finite"),
-                        "strings": (str(tmp_path / "bad.npy"), "not numbers"),
-                        "bool": (str(tmp_path / "bad.npy"), "not numbers")}[case]
+                        "strings": (str(tmp_path / "bad.npy"),
+                                    "not an array of numbers"),
+                        "bool": (str(tmp_path / "bad.npy"),
+                                 "not an array of numbers"),
+                        "empty": (str(tmp_path / "empty.npy"),
+                                  str(tmp_path / "empty.npy")),
+                        "npz": (str(tmp_path / "grid.npz"),
+                                "not an array of numbers")}[case]
         np.save(tmp_path / "small.npy", np.ones((4, 4), dtype=complex))
         bad = np.ones((8, 8), dtype={"strings": str, "bool": bool}.get(case,
                                                                      complex))
         if case in ("nan", "inf"):
             bad[3, 4] = np.nan if case == "nan" else np.inf
         np.save(tmp_path / "bad.npy", bad)
+        (tmp_path / "empty.npy").write_bytes(b"")
+        np.savez(tmp_path / "grid.npz", np.ones((8, 8), dtype=complex))
         capsys.readouterr()
         out = tmp_path / "hx"
         assert main(["analyze-hessian", "--instance", str(inst_dir),
@@ -750,6 +760,35 @@ class TestCli:
         assert "config error" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ptype", ["zernike", "vonkarman", "segmented"])
+    def test_negative_problem_seed_named_in_error(self, tmp_path, capsys,
+                                                  ptype):
+        self.config_error_names(tmp_path, capsys, "simulate",
+                                [f"problem.type={ptype}", "problem.seed=-1"],
+                                "problem.seed")
+
+    @pytest.mark.parametrize("command", ["solve", "compare-methods",
+                                         "compare-models", "analyze-hessian"])
+    def test_misell_plan_checked_only_where_misell_runs(self, tmp_path, capsys,
+                                                        command):
+        # one defocus plane: solve and compare-models would run MISELL on
+        # it; compare-methods runs SD/NCG/LBFGS/TN and analyze-hessian no
+        # solver, so both run
+        inst_dir = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.n=8",
+                     "--set", "plan.defocus=3", "--out", str(inst_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = main([command, "--instance", str(inst_dir),
+                   "--set", "solver.method=MISELL", "--set", "restarts=1",
+                   "--set", "solver.max_iters=3", "--out", str(out)])
+        if command in ("solve", "compare-models"):
+            assert rc == 2
+            assert "two defocus planes" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert rc == 0 and any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["simulate", "solve"])
     def test_negative_noise_seed_named_in_error(self, tmp_path, capsys,
                                                 command):
@@ -785,7 +824,7 @@ class TestCli:
         inst_dir = tmp_path / "inst"
         assert main(["simulate", "--set", "problem.n=12",
                      "--out", str(inst_dir)]) == 0
-        arr = field_from_csv(inst_dir / "plane_00.csv")
+        arr = field_from_csv(inst_dir / "plane_00.csv", (12, 12))
         assert arr.shape == (12, 12)
         assert arr.min() >= 0
 
@@ -851,7 +890,8 @@ class TestArtifactFormat:
         rows = [ln for ln in lines if not ln.startswith("#")]
         assert len(rows) == 8
         plane.write_text("".join(header + rows[:6]))
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(ValueError,
+                           match=r"plane_01\.csv has shape \(6, 8\)"):
             load_instance(inst)
         for command in ("solve", "compare-methods"):
             assert main([command, *args, "--instance", str(inst),
@@ -883,15 +923,16 @@ class TestArtifactFormat:
             "plane_00.csv", "plane_01.csv", "plane_02.csv"]
         assert len(load_instance(inst).plan) == 3
 
-    @pytest.mark.parametrize("case", ["nan", "empty", "0-d", "strings",
-                                      "n-mismatch"])
+    @pytest.mark.parametrize("case", ["nan", "inf", "empty", "0-d", "strings",
+                                      "bool", "n-mismatch"])
     def test_non_finite_truth_is_load_error(self, tmp_path, capsys, case):
-        # a NaN entry, a zero-byte file, a 0-d array, a grid of strings, and
-        # a config.txt whose problem.n is not the size of the 8 x 8 truth
+        # a NaN or infinite entry, a zero-byte file, a 0-d array, a grid of
+        # strings or of booleans, and a config.txt whose problem.n is not
+        # the size of the 8 x 8 truth
         inst, args = self._simulate(tmp_path)
-        if case == "nan":
+        if case in ("nan", "inf"):
             truth = np.load(inst / "truth.npy")
-            truth[4, 4] = np.nan
+            truth[4, 4] = np.nan if case == "nan" else np.inf
             np.save(inst / "truth.npy", truth)
         elif case == "empty":
             (inst / "truth.npy").write_bytes(b"")
@@ -899,6 +940,8 @@ class TestArtifactFormat:
             np.save(inst / "truth.npy", np.array(1.0 + 0.0j))
         elif case == "strings":
             np.save(inst / "truth.npy", np.full((8, 8), "1"))
+        elif case == "bool":
+            np.save(inst / "truth.npy", np.ones((8, 8), dtype=bool))
         else:
             config = inst / "config.txt"
             config.write_text(config.read_text().replace("problem.n = 8",

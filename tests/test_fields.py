@@ -127,7 +127,7 @@ class TestSerialization:
     def test_csv_roundtrip_real_with_header(self, tmp_path):
         arr = np.array([[0.0, 1.5], [-2.25, 3e-17]])
         field_to_csv(tmp_path / "g.csv", arr, header={"foo": "bar"})
-        back = field_from_csv(tmp_path / "g.csv")
+        back = field_from_csv(tmp_path / "g.csv", (2, 2))
         assert back.dtype == float
         assert np.array_equal(back, arr)
         assert (tmp_path / "g.csv").read_text().startswith("# foo = bar")
@@ -138,14 +138,14 @@ class TestSerialization:
         text = (tmp_path / "h.csv").read_text()
         assert text == ("# a = 1\n0.10000000000000001,-0,1.0000000000000001e+300\n"
                         "nan,2,4.9406564584124654e-324\n")
-        back = field_from_csv(tmp_path / "h.csv")
+        back = field_from_csv(tmp_path / "h.csv", (2, 3))
         assert np.array_equal(back, arr, equal_nan=True)
         assert np.array_equal(np.signbit(back), np.signbit(arr))
 
     def test_csv_without_data_rows_rejected(self, tmp_path):
         (tmp_path / "e.csv").write_text("# a = 1\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            field_from_csv(tmp_path / "e.csv")
+        with pytest.raises(ValueError, match=r"e\.csv has shape"):
+            field_from_csv(tmp_path / "e.csv", (1, 1))
 
 
 # keys: no '=', no line breaks, no surrounding blanks, not starting with '#';

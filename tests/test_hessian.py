@@ -175,6 +175,18 @@ def test_spectra_are_pointwise_in_the_transform(monkeypatch):
 
 
 class TestDenseGuard:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("plane", [None, -3.0, 3.0, 0.7])
+    def test_plane_matrix_is_the_per_pixel_build(self, n, plane):
+        # column j is the transform of pixel j, bit for bit
+        grid = full_grid(n)
+        U = np.zeros((n * n, n * n), dtype=complex)
+        for j in range(n * n):
+            e = np.zeros(n * n, dtype=complex)
+            e[j] = 1.0
+            U[:, j] = diversity_forward(e.reshape(n, n), plane, grid).ravel()
+        assert plane_matrix(plane, grid).tobytes() == U.tobytes()
+
     def test_size_guard(self):
         grid = full_grid(16)  # 256 pixels > limit
         with pytest.raises(ValueError):
