@@ -74,13 +74,10 @@ def _resolve_out(args, config: ExperimentConfig) -> Path:
 
 
 def _load_instance(args):
-    path = Path(args.instance)
-    if not path.is_dir():
-        raise ConfigError(f"instance directory not found: {path}")
     try:
-        return load_instance(path)
-    except (OSError, KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot load instance {path}: {exc}") from exc
+        return load_instance(args.instance)
+    except ValueError as exc:
+        raise ConfigError(f"cannot load instance {args.instance}: {exc}") from exc
 
 
 def main(argv=None) -> int:

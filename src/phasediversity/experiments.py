@@ -7,11 +7,13 @@ Configuration lives in flat namespaced key/value text::
     solver.method = LBFGS
     restarts = 10  # seeds solver.seed .. solver.seed + 9
 
-A ``#`` at the start of a line or after whitespace starts a comment.
-``--set key=value`` overrides use the same keys.  The ordered key table
-``_KEYS`` (flat key -> attribute, parser) drives both parsing and
-:meth:`ExperimentConfig.to_flat`; ``problem.<name>`` parameters take the
-types of ``PROBLEM_DEFAULTS``, and an unset value is written ``none``.
+A ``#`` at the start of a line or after whitespace starts a comment, in a
+``--config`` file and an instance's ``config.txt`` alike (both read by
+``fields.read_key_values``).  ``--set key=value`` overrides use the same
+keys.  The ordered key table ``_KEYS`` (flat key -> attribute, parser)
+drives both parsing and :meth:`ExperimentConfig.to_flat`;
+``problem.<name>`` parameters take the types of ``PROBLEM_DEFAULTS``,
+and an unset value is written ``none``.
 Every output file embeds the fully resolved configuration (as
 ``# key = value`` comment lines in CSVs, under a ``config`` entry in
 JSON) so artifacts are self-describing.  Restart seeds are
@@ -21,14 +23,13 @@ JSON) so artifacts are self-describing.  Restart seeds are
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .fields import (atomic_open, format_floats, key_value_lines,
-                     load_field, parse_bool, parse_floats, parse_key_values)
+                     load_field, parse_bool, parse_floats, read_key_values)
 from .forward import diversity_forward
 from .hessian import (
     clustering_comparison,
@@ -64,7 +65,6 @@ from .problems import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "parse_config_text",
     "config_from_sources",
     "initial_guess",
     "build_instance",
@@ -189,22 +189,9 @@ _KEYS = {
     "output_dir": ("output_dir", _optional(str)),
 }
 
-_COMMENT = re.compile(r"(?:^|\s)#")
-
 # problem.<name> parsers, from the types of the generator defaults
 _PARAM_TYPES = {name: type(value) for defaults in PROBLEM_DEFAULTS.values()
                 for name, value in defaults.items()}
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse 'key = value' lines, blank lines ignored.  A '#' at the start
-    of a line or after whitespace starts a comment; any other '#' is data,
-    so ``output_dir = runs/#1`` keeps its value."""
-    try:
-        return parse_key_values(_COMMENT.split(raw, 1)[0]
-                                for raw in text.splitlines())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -230,13 +217,12 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 def config_from_sources(path=None, overrides=()) -> ExperimentConfig:
-    """Build a config from an optional file plus --set style overrides."""
-    mapping: dict = {}
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        mapping.update(parse_config_text(p.read_text()))
+    """Build a config from an optional file, read as ``config.txt`` is,
+    plus --set style overrides."""
+    try:
+        mapping = {} if path is None else read_key_values(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
@@ -515,7 +501,8 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
     """Closed-form vs dense spectra and the clustering report at one point.
 
     A bad point or an instance too large for the dense plane matrices is a
-    ConfigError raised before the output directory exists."""
+    ConfigError, with the reader's or the size limit's own message, raised
+    before the output directory exists."""
     try:
         if point == "truth":
             u = instance.truth
@@ -525,7 +512,7 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
             u = load_field(point, instance.grid.mask.shape)
         matrices = [plane_matrix(plane, instance.grid) for plane in instance.plan]
     except ValueError as exc:
-        raise ConfigError(f"cannot analyze at point {point}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     instance, out, flat = _prepare(config, instance, out_dir, runs_method=False)
     planes = []
     data = instance.data

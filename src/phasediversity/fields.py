@@ -5,19 +5,20 @@ float64 for intensities and phases), stored row-major.  All operations
 here are elementwise or reductions, so a stacked 1-D vector and a 2-D
 grid behave identically.
 
-The module also owns the on-disk formats: one ``key = value`` codec
-(:func:`key_value_lines` / :func:`parse_key_values`, with the value
-parsers :func:`parse_bool` / :func:`parse_floats` and the exact float-list
-writer :func:`format_floats`) for ``config.txt`` and every CSV's
-``# key = value`` header, and fields as real-valued CSV or complex
-``.npy``, written by :func:`atomic_open` and read only with the shape
-they must have, by :func:`field_from_csv` or :func:`load_field`.
+The module also owns the on-disk formats and reads every input file:
+``key = value`` text (:func:`key_value_lines` / :func:`read_key_values`,
+with :func:`parse_bool`, :func:`parse_floats` and :func:`format_floats`)
+for ``config.txt``, ``--config`` files and every CSV's header, and fields
+as real-valued CSV or complex ``.npy``, written by :func:`atomic_open` and
+read with the shape they must have by :func:`field_from_csv` or
+:func:`load_field`.  Each reader names a file it rejects once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,7 +32,7 @@ __all__ = [
     "require_intensity",
     "atomic_open",
     "key_value_lines",
-    "parse_key_values",
+    "read_key_values",
     "parse_bool",
     "parse_floats",
     "format_floats",
@@ -48,14 +49,14 @@ def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"field shape mismatch: {np.shape(a)} vs {np.shape(b)}")
 
 
-def require_intensity(arr: np.ndarray) -> np.ndarray:
-    """Validate an intensity-role field: real valued, finite and elementwise
-    >= 0."""
+def require_intensity(arr: np.ndarray, name="intensity field") -> np.ndarray:
+    """Validate the intensity-role field ``name``: real valued, finite and
+    elementwise >= 0."""
     arr = np.asarray(arr, dtype=float)
     if not np.isfinite(arr).all():
-        raise ValueError("intensity field has non-finite entries")
+        raise ValueError(f"{name} has non-finite entries")
     if arr.size and arr.min() < 0:
-        raise ValueError("intensity field has negative entries")
+        raise ValueError(f"{name} has negative entries")
     return arr
 
 
@@ -114,6 +115,18 @@ def aligned_rms(u: np.ndarray, uhat: np.ndarray, *,
 # ---------------------------------------------------------------------------
 
 @contextmanager
+def _reading(path, mode: str = "r"):
+    """``path`` opened for reading; a failure to open it or to parse it in
+    the block is a ValueError ``cannot read PATH: cause``, naming it once."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except (OSError, EOFError, ValueError) as exc:
+        cause = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read {path}: {cause}") from exc
+
+
+@contextmanager
 def atomic_open(path, mode: str = "w"):
     """Write ``<path>.tmp`` and move it over ``path`` on success; on an error
     the temporary file is removed and ``path`` keeps its old contents."""
@@ -134,20 +147,25 @@ def key_value_lines(mapping: dict, prefix: str = "") -> str:
     return "".join(f"{prefix}{key} = {value}\n" for key, value in mapping.items())
 
 
-def parse_key_values(lines) -> dict:
-    """``key = value`` lines as a dict of stripped, otherwise verbatim strings.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
-    Blank and ``#`` lines are skipped; any other line lacking a key and an
-    ``=`` raises ValueError."""
+
+def read_key_values(path) -> dict:
+    """The ``key = value`` lines of the text file ``path`` as a dict of
+    stripped, otherwise verbatim strings, each line first cut at a ``#``
+    that starts it or follows whitespace (``output_dir = runs/#1`` keeps its
+    ``#``).  A file that cannot be read, or a line lacking a key and an
+    ``=``, is a ValueError naming ``path`` (and the line number)."""
     mapping: dict = {}
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip():
-            raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
-        mapping[key.strip()] = value.strip()
+    with _reading(path) as fh:
+        for ln, raw in enumerate(fh.read().splitlines(), start=1):
+            line = _COMMENT.split(raw, 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not sep or not key.strip():
+                raise ValueError(f"line {ln}: expected 'key = value', got {line!r}")
+            mapping[key.strip()] = value.strip()
     return mapping
 
 
@@ -181,10 +199,8 @@ def save_field(path, arr: np.ndarray) -> None:
 def load_field(path, shape) -> np.ndarray:
     """The finite numeric array of ``shape`` that :func:`save_field` wrote;
     any other file (zero bytes, an ``.npz``) is a ValueError naming ``path``."""
-    try:
-        arr = np.load(path)
-    except (OSError, EOFError, ValueError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+    with _reading(path, "rb") as fh:
+        arr = np.load(fh)
     if not np.issubdtype(getattr(arr, "dtype", object), np.number):
         raise ValueError(f"{path} is not an array of numbers")
     if arr.shape != shape:
@@ -206,10 +222,11 @@ def field_to_csv(path, arr: np.ndarray, header: dict | None = None) -> None:
 
 
 def field_from_csv(path, shape) -> np.ndarray:
-    """Read a float field of ``shape`` written by :func:`field_to_csv`."""
-    with warnings.catch_warnings():
+    """The float field of ``shape``, non-finite cells included, that
+    :func:`field_to_csv` wrote; any other file is a ValueError naming it."""
+    with _reading(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty input, raised below
-        arr = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        arr = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
     if arr.shape != shape:
         raise ValueError(f"{path} has shape {arr.shape}, not {shape}")
     return arr

@@ -37,7 +37,6 @@ from .fields import (
     atomic_open,
     blocked_vdot,
     key_value_lines,
-    parse_key_values,
 )
 from .forward import (
     DiversityPlan,
@@ -125,17 +124,17 @@ class TraceRecord(NamedTuple):
 
 
 # The trace schema, in TraceRecord field order: (CSV column, cell format
-# spec, cell parser).  A new column is one line here plus one field above.
+# spec).  A new column is one line here plus one field above.
 TRACE_COLUMNS = (
-    ("iter", "d", int),
-    ("f", ".17g", float),
-    ("grad_norm", ".17g", float),
-    ("alpha", ".17g", float),
-    ("rms", ".17g", float),
-    ("fft_calls", "d", int),
-    ("neg_curv", "d", lambda cell: bool(int(cell))),
+    ("iter", "d"),
+    ("f", ".17g"),
+    ("grad_norm", ".17g"),
+    ("alpha", ".17g"),
+    ("rms", ".17g"),
+    ("fft_calls", "d"),
+    ("neg_curv", "d"),
 )
-_TRACE_HEADER = ",".join(name for name, _, _ in TRACE_COLUMNS)
+_TRACE_HEADER = ",".join(name for name, _ in TRACE_COLUMNS)
 
 
 @dataclass
@@ -174,31 +173,8 @@ class RunTrace:
             fh.write(key_value_lines(header, "# "))
             fh.write(_TRACE_HEADER + "\n")
             for r in self.records:
-                fh.write(",".join(format(value, spec) for value, (_, spec, _)
+                fh.write(",".join(format(value, spec) for value, (_, spec)
                                   in zip(r, TRACE_COLUMNS)) + "\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        """Read a trace written by :meth:`to_csv`; returns (trace, header dict).
-
-        ValueError on an unknown column header or a row whose cell count
-        differs from the schema's."""
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        header = parse_key_values(ln[1:] for ln in lines if ln.startswith("#"))
-        body = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not body or body[0] != _TRACE_HEADER:
-            raise ValueError(f"unrecognized trace schema in {path}")
-        trace = cls(method=header.get("method", ""),
-                    stop_reason=header.get("stop_reason", ""))
-        for ln in body[1:]:
-            cells = ln.split(",")
-            if len(cells) != len(TRACE_COLUMNS):
-                raise ValueError(f"trace row {ln!r} in {path} has {len(cells)} "
-                                 f"cells, expected {len(TRACE_COLUMNS)}")
-            trace.append(TraceRecord(*(parse(cell) for cell, (_, _, parse)
-                                       in zip(cells, TRACE_COLUMNS))))
-        return trace, header
 
 
 class LineSearchError(RuntimeError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import (atomic_open, field_from_csv, field_to_csv, format_floats,
                      key_value_lines, load_field, parse_bool, parse_floats,
-                     parse_key_values, save_field)
+                     read_key_values, require_intensity, save_field)
 from .forward import DiversityPlan, PupilGrid, diversity_forward
 from .objectives import MeasurementSet
 
@@ -402,21 +402,41 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    """Read a :func:`save_instance` directory; KeyError on a ``config.txt``
-    without ``problem.n`` or a plan key, ValueError on a malformed line or
-    value of them (parsed as the config parses it), a truth or plane file
-    not a finite n x n grid, or a ``plane_*.csv`` the plan does not name."""
+    """Read a :func:`save_instance` directory.  A ValueError names the file
+    at fault: a ``config.txt`` without a key that :func:`save_instance` writes
+    or with a bad type, ``problem.n`` or plan value (parsed as the config
+    parses it), a truth or plane file not a finite n x n grid (a plane also
+    >= 0), or a ``plane_*.csv`` the plan does not name."""
     path = Path(path)
-    with open(path / "config.txt") as fh:
-        meta = parse_key_values(fh)
-    n = int(meta["problem.n"])
+    config = path / "config.txt"
+    meta = read_key_values(config)
+
+    def value(key, parse=str):
+        if key not in meta:
+            raise ValueError(f"{config} has no {key} line")
+        try:
+            return parse(meta[key])
+        except ValueError as exc:
+            raise ValueError(f"{config}: bad {key}: {exc}") from exc
+
+    ptype = value("problem.type")
+    if ptype not in PROBLEM_TYPES:
+        raise ValueError(f"{config}: problem.type must be one of "
+                         f"{PROBLEM_TYPES}, got {ptype!r}")
+    n = value("problem.n", int)
+    for name in ("seed", *PROBLEM_DEFAULTS[ptype]):
+        value(f"problem.{name}")
+    if "noise.snr" in meta:
+        value("noise.seed")
+    amplitude_plane = value("plan.amplitude_plane", parse_bool)
+    plan = value("plan.defocus",
+                 lambda text: DiversityPlan(parse_floats(text), amplitude_plane))
     truth = load_field(path / "truth.npy", (n, n))
     grid = PupilGrid(n, np.abs(truth) > 0.5)
-    plan = DiversityPlan(parse_floats(meta["plan.defocus"]),
-                         parse_bool(meta["plan.amplitude_plane"]))
     planes, stray = _plane_files(path, len(plan))
     if stray:
         raise ValueError(f"{stray[0]} is not one of the {len(plan)} planes "
                          f"of the plan in config.txt")
-    intensities = [field_from_csv(file, (n, n)) for file in planes]
+    intensities = [require_intensity(field_from_csv(file, (n, n)), file)
+                   for file in planes]
     return ProblemInstance(grid, truth, plan, MeasurementSet(intensities), meta)

@@ -40,6 +40,18 @@ def plan_of(plane):
     return DiversityPlan((plane,), False)
 
 
+def read_trace(path):
+    """A trace CSV, which the program writes and never reads back, as its
+    ``# key = value`` header (a dict of strings) and its rows (a float array
+    with one row per record, in ``TRACE_COLUMNS`` order)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = dict(ln[2:].split(" = ", 1) for ln in lines if ln.startswith("#"))
+    rows = np.loadtxt((ln for ln in lines if not ln.startswith("#")),
+                      delimiter=",", skiprows=1, ndmin=2)
+    return header, rows
+
+
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phasediversity.cli import main
 from phasediversity.experiments import (
@@ -16,7 +23,6 @@ from phasediversity.experiments import (
     config_from_sources,
     initial_guess,
     iterations_to_rms,
-    parse_config_text,
     run_analyze_hessian,
     run_compare_methods,
     run_compare_models,
@@ -28,6 +34,8 @@ from phasediversity.fields import field_from_csv
 from phasediversity.objectives import DataMisfit, ObjectiveSpec
 from phasediversity.optimizers import RunTrace
 from phasediversity.problems import load_instance
+
+from conftest import read_trace
 
 
 def small_config(**over):
@@ -51,16 +59,17 @@ class TestConfigParsing:
         assert cfg.solver.lbfgs_memory == 2
         assert cfg.restarts == 10
 
-    def test_text_parsing_with_comments(self):
-        text = """
+    def test_text_parsing_with_comments(self, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("""
         # benchmark
         problem.type = vonkarman
         problem.n = 16   # small
         plan.defocus = -2,2
         solver.method = sd
         noise.snr = 10
-        """
-        cfg = config_from_mapping(parse_config_text(text))
+        """)
+        cfg = config_from_sources(p)
         assert cfg.problem_type == "vonkarman"
         assert cfg.n == 16
         assert cfg.defocus == (-2.0, 2.0)
@@ -129,9 +138,11 @@ class TestConfigParsing:
         assert back.snr is None and back.solver.tn_cg_max is None
         assert back.to_flat() == flat
 
-    def test_config_line_without_equals_rejected(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_config_text("problem.n = 8\nrestarts 3\n")
+    def test_config_line_without_equals_rejected(self, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("problem.n = 8\nrestarts 3\n")
+        with pytest.raises(ConfigError, match="cfg.txt: line 2: .* got 'restarts 3'$"):
+            config_from_sources(p)
 
     def test_flat_dump_is_complete(self):
         cfg = small_config()
@@ -198,10 +209,10 @@ class TestRunSolve:
         inst = build_instance(cfg)
         run_solve(cfg, inst, tmp_path / "out")
         trace_path = tmp_path / "out" / "trace_restart_00.csv"
-        trace, header = RunTrace.from_csv(trace_path)
+        header, rows = read_trace(trace_path)
         assert header["problem.type"] == "zernike"
         assert header["solver.method"] == "LBFGS"
-        assert len(trace) >= 1
+        assert len(rows) >= 1
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["config"]["problem.n"] == 12
         assert len(summary["restarts"]) == cfg.restarts
@@ -573,7 +584,7 @@ class TestCli:
         assert config["problem.n"] == 12
         assert config["plan.defocus"] == "-2,2"
         assert config["problem.r0"] == 0.1 and "problem.zernike_index" not in config
-        _, header = RunTrace.from_csv(tmp_path / "run" / "trace_restart_00.csv")
+        header, _ = read_trace(tmp_path / "run" / "trace_restart_00.csv")
         assert header["problem.type"] == "vonkarman" and header["problem.n"] == "12"
         # a repeated key that agrees changes nothing
         assert main(["solve", *run, "--set", "problem.n=12",
@@ -1006,3 +1017,142 @@ class TestArtifactFormat:
             _write_json(path, {"a": 1, "b": Unprintable()})
         assert path.read_bytes() == first
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _edit_config(inst, key, value=None):
+    """Replace ``key``'s value in ``inst``/config.txt, or drop its line when
+    ``value`` is None."""
+    config = inst / "config.txt"
+    lines = config.read_text().splitlines(keepends=True)
+    assert any(ln.startswith(f"{key} = ") for ln in lines)
+    config.write_text("".join(
+        ln if not ln.startswith(f"{key} = ")
+        else "" if value is None else f"{key} = {value}\n" for ln in lines))
+
+
+def _edit_plane_cell(plane, row, col, cell):
+    """Replace one cell of a plane CSV's data rows."""
+    lines = plane.read_text().splitlines(keepends=True)
+    data = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    cells = lines[data[row]].rstrip("\n").split(",")
+    cells[col] = cell
+    lines[data[row]] = ",".join(cells) + "\n"
+    plane.write_text("".join(lines))
+
+
+# each file the CLI reads, and the defects a test puts in it
+_INPUT_DEFECTS = {
+    "--config": ["missing", "directory", "no-equals"],
+    "config.txt": ["missing", "directory", "no-equals", "bad-n"],
+    "plane_01.csv": ["missing", "directory", "empty", "x-cell"],
+    "truth.npy": ["missing", "directory", "empty", "half"],
+    "--point": ["missing", "directory", "empty", "half"],
+}
+
+
+class TestInputFiles:
+    """Every file the CLI reads: a defect in it exits 2 before any output,
+    with an error that names the file."""
+
+    RUN = ["--set", "restarts=1", "--set", "solver.max_iters=1"]
+
+    @pytest.mark.parametrize("sets, edit, named", [
+        ([], ("problem.seed", None), "problem.seed"),
+        ([], ("problem.r0", None), "problem.r0"),
+        ([], ("problem.type", None), "problem.type"),
+        ([], ("problem.type", "airy"), "problem.type"),
+        ([], ("problem.n", "eight"), "problem.n"),
+        ([], ("plan.defocus", "-3,x"), "plan.defocus"),
+        ([], ("plan.defocus", "-3,nan"), "plan.defocus"),
+        (["noise.snr=20", "noise.seed=3"], ("noise.seed", None), "noise.seed"),
+        ([], ("plane", "nan"), "plane_01.csv"),
+        ([], ("plane", "-1"), "plane_01.csv"),
+    ], ids=["no-seed", "no-r0", "no-type", "bad-type", "bad-n", "bad-defocus",
+            "nan-defocus", "no-noise-seed", "plane-nan", "plane-negative"])
+    def test_instance_must_state_its_keys(self, tmp_path, capsys, sets, edit,
+                                          named):
+        # a vonkarman instance simulated with a non-default seed: a missing
+        # key must not fall back to a default the instance never stated
+        inst = tmp_path / "inst"
+        args = [a for kv in ["problem.type=vonkarman", "problem.n=8",
+                             "problem.seed=3", *sets] for a in ("--set", kv)]
+        assert main(["simulate", *args, "--out", str(inst)]) == 0
+        key, value = edit
+        if key == "plane":
+            _edit_plane_cell(inst / "plane_01.csv", 2, 3, value)
+        else:
+            _edit_config(inst, key, value)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["solve", "--instance", str(inst), *self.RUN,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert key == "plane" or "config.txt" in err
+        assert not out.exists()
+
+    def test_inline_comments_in_config_txt_change_nothing(self, tmp_path):
+        inst = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.n=8",
+                     "--set", "noise.snr=20", "--out", str(inst)]) == 0
+        assert main(["solve", "--instance", str(inst), *self.RUN,
+                     "--out", str(tmp_path / "plain")]) == 0
+        config = inst / "config.txt"
+        config.write_text("".join(f"{ln}  # note\n"
+                                  for ln in config.read_text().splitlines()))
+        assert main(["solve", "--instance", str(inst), *self.RUN,
+                     "--out", str(tmp_path / "noted")]) == 0
+        for name in ("summary.json", "trace_restart_00.csv"):
+            assert (tmp_path / "noted" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+
+    @pytest.fixture(scope="module")
+    def instance(self, tmp_path_factory):
+        inst = tmp_path_factory.mktemp("input_files") / "inst"
+        assert main(["simulate", "--set", "problem.n=8", "--out", str(inst)]) == 0
+        return inst
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.sampled_from([(file, defect) for file, defects
+                                 in _INPUT_DEFECTS.items() for defect in defects]),
+           cell=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+    def test_defective_input_file_named_once(self, instance, case, cell):
+        file, defect = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            inst = tmp / "inst"
+            shutil.copytree(instance, inst)
+            config = tmp / "run.cfg"
+            config.write_text("restarts = 1\nsolver.max_iters = 1\n")
+            point = tmp / "point.npy"
+            shutil.copy(inst / "truth.npy", point)
+            path = {"--config": config, "--point": point}.get(file, inst / file)
+            if defect == "missing":
+                path.unlink()
+            elif defect == "directory":
+                path.unlink()
+                path.mkdir()
+            elif defect == "empty":
+                path.write_bytes(b"")
+            elif defect == "half":
+                data = path.read_bytes()
+                path.write_bytes(data[:len(data) // 2])
+            elif defect == "no-equals":
+                with open(path, "a") as fh:
+                    fh.write("solver.max_iters 1\n")
+            elif defect == "bad-n":
+                _edit_config(inst, "problem.n", "x")
+            else:
+                _edit_plane_cell(path, *cell, "x")
+            out = tmp / "run"
+            command = (["analyze-hessian", "--point", str(point)]
+                       if file == "--point" else ["solve"])
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                rc = main([*command, "--instance", str(inst), "--config",
+                           str(config), "--out", str(out)])
+            err = stderr.getvalue()
+            assert rc == 2, err
+            assert err.count(str(path)) == 1, err
+            assert not out.exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,9 @@ from phasediversity.fields import (
     field_to_csv,
     format_floats,
     key_value_lines,
+    load_field,
     parse_floats,
-    parse_key_values,
+    read_key_values,
     save_field,
 )
 
@@ -148,35 +151,87 @@ class TestSerialization:
             field_from_csv(tmp_path / "e.csv", (1, 1))
 
 
-# keys: no '=', no line breaks, no surrounding blanks, not starting with '#';
-# values: no line breaks and no surrounding blanks, anything else verbatim
+# keys: no '=', no line breaks, no surrounding blanks; keys and values: no
+# line breaks, no surrounding blanks and no comment ('#' at the start or
+# after whitespace), anything else verbatim
 _TEXT = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))
+_COMMENT = re.compile(r"(?:^|\s)#")
 _KEY = st.text(_TEXT, min_size=1).map(str.strip).filter(
-    lambda k: k and "=" not in k and not k.startswith("#"))
-_VALUE = st.text(_TEXT).map(str.strip)
+    lambda k: k and "=" not in k and not _COMMENT.search(k))
+_VALUE = st.text(_TEXT).map(str.strip).filter(
+    lambda v: not _COMMENT.search(v))
 
 
 class TestKeyValueCodec:
-    @settings(deadline=None, max_examples=200)
-    @given(st.dictionaries(_KEY, _VALUE))
-    def test_roundtrip_property(self, mapping):
-        assert parse_key_values(key_value_lines(mapping).splitlines()) == mapping
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("kv") / "config.txt"
 
-    def test_header_prefix_and_str_values(self):
+    @settings(deadline=None, max_examples=200)
+    @given(mapping=st.dictionaries(_KEY, _VALUE))
+    def test_roundtrip_property(self, path, mapping):
+        path.write_text(key_value_lines(mapping))
+        assert read_key_values(path) == mapping
+
+    def test_header_prefix_and_str_values(self, path):
         text = key_value_lines({"a": 1, "b": None, "c": True}, "# ")
         assert text == "# a = 1\n# b = None\n# c = True\n"
-        assert parse_key_values(text.splitlines()) == {}
-        assert parse_key_values(ln[1:] for ln in text.splitlines()) == {
-            "a": "1", "b": "None", "c": "True"}
+        path.write_text(text)
+        assert read_key_values(path) == {}
+        path.write_text(text.replace("# ", ""))
+        assert read_key_values(path) == {"a": "1", "b": "None", "c": "True"}
 
-    def test_values_kept_verbatim(self):
-        lines = ["", "# comment", "  out = runs/#1 = x  ", "e ="]
-        assert parse_key_values(lines) == {"out": "runs/#1 = x", "e": ""}
+    def test_values_kept_verbatim(self, path):
+        path.write_text("\n# comment\n  out = runs/#1 = x  \ne =\n"
+                        "n = 8\t# tab before the comment\n")
+        assert read_key_values(path) == {"out": "runs/#1 = x", "e": "", "n": "8"}
 
     @pytest.mark.parametrize("line", ["no equals sign", "= value"])
-    def test_line_without_key_rejected(self, line):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_key_values(["a = 1", line])
+    def test_line_without_key_rejected(self, path, line):
+        path.write_text(f"a = 1\n{line}  # note\n")
+        with pytest.raises(ValueError) as info:
+            read_key_values(path)
+        assert str(info.value) == (f"cannot read {path}: line 2: "
+                                   f"expected 'key = value', got {line!r}")
+
+
+class TestReadFailures:
+    """Every reader reports a file it cannot read as ``cannot read PATH:
+    cause``, the path once."""
+
+    READERS = {"key_values": read_key_values,
+               "csv": lambda p: field_from_csv(p, (2, 2)),
+               "npy": lambda p: load_field(p, (2, 2))}
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("case, cause", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ])
+    def test_unreadable_file_named_once(self, tmp_path, reader, case, cause):
+        path = tmp_path / "input"
+        if case == "directory":
+            path.mkdir()
+        with pytest.raises(ValueError) as info:
+            self.READERS[reader](path)
+        assert str(info.value) == f"cannot read {path}: {cause}"
+
+    @pytest.mark.parametrize("reader", ["key_values", "csv"])
+    def test_undecodable_text_named_once(self, tmp_path, reader):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe = 1\n")
+        with pytest.raises(ValueError) as info:
+            self.READERS[reader](path)
+        assert str(info.value).startswith(f"cannot read {path}: ")
+        assert str(info.value).count(str(path)) == 1
+
+    def test_unparsable_csv_cell_named_once(self, tmp_path):
+        path = tmp_path / "plane.csv"
+        path.write_text("# a = 1\n1,2\nx,4\n")
+        with pytest.raises(ValueError) as info:
+            field_from_csv(path, (2, 2))
+        assert str(info.value).startswith(f"cannot read {path}: could not convert")
+        assert str(info.value).count(str(path)) == 1
 
 
 class TestFloatList:

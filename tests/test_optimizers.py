@@ -18,7 +18,7 @@ from phasediversity.optimizers import (
 )
 from phasediversity.problems import build_problem
 
-from conftest import FunctionObjective, plan_of, random_complex
+from conftest import FunctionObjective, plan_of, random_complex, read_trace
 
 
 def shifted_quadratic(a):
@@ -552,22 +552,14 @@ class TestSolverInfrastructure:
         path = tmp_path / "trace.csv"
         trace.to_csv(path, header={"method": "SD", "stop_reason": "max_iters",
                                    "k": "v"})
-        back, header = RunTrace.from_csv(path)
-        assert header["k"] == "v"
-        assert back.method == "SD"
-        assert back.stop_reason == "max_iters"
-        assert len(back) == 2
-        assert back.records[1].f_value == 0.5
-        assert back.records[1].negative_curvature is True
-        assert np.isnan(back.records[0].step_alpha)
+        header, rows = read_trace(path)
+        assert header == {"method": "SD", "stop_reason": "max_iters", "k": "v"}
+        assert np.array_equal(rows, np.array(trace.records, dtype=float),
+                              equal_nan=True)
 
     def test_trace_csv_bytes_locked(self, tmp_path):
         # exact cells for signed zero, NaN, the float extremes, both flag
         # values and the integer columns, and an exact read back
-        def cells(r):
-            return repr((r.iteration, r.f_value, r.grad_norm, r.step_alpha,
-                         r.rms, r.fft_calls, r.negative_curvature))
-
         trace = RunTrace(method="TN", stop_reason="tol_fun")
         trace.append(TraceRecord(0, -0.0, 1e300, float("nan"), 5e-324, 0, False))
         trace.append(TraceRecord(12, 0.1, 5e-324, -0.0, 1e300, 123456789, True))
@@ -579,12 +571,10 @@ class TestSolverInfrastructure:
             b"0,-0,1.0000000000000001e+300,nan,4.9406564584124654e-324,0,0\n"
             b"12,0.10000000000000001,4.9406564584124654e-324,-0,"
             b"1.0000000000000001e+300,123456789,1\n")
-        back, _ = RunTrace.from_csv(path)
-        assert [cells(r) for r in back.records] == [cells(r) for r in trace.records]
-        for row in (b"1,2,3,4,5,6\n", b"1,2,3,4,5,6,0,7\n"):
-            path.write_bytes(header + row)
-            with pytest.raises(ValueError):
-                RunTrace.from_csv(path)
+        _, rows = read_trace(path)
+        records = np.array(trace.records, dtype=float)
+        assert np.array_equal(rows, records, equal_nan=True)
+        assert np.array_equal(np.signbit(rows), np.signbit(records))
 
     def test_trace_schema_has_one_column_per_record_field(self):
         from phasediversity.optimizers import TRACE_COLUMNS
@@ -598,9 +588,8 @@ class TestSolverInfrastructure:
         header = {"output_dir": "runs/#1", "note": "a = b", "noise.snr": "none",
                   "method": "LBFGS", "stop_reason": "tol_fun"}
         trace.to_csv(tmp_path / "t.csv", header=header)
-        back, got = RunTrace.from_csv(tmp_path / "t.csv")
+        got, _ = read_trace(tmp_path / "t.csv")
         assert got == header
-        assert back.stop_reason == "tol_fun"
 
     def test_failed_trace_rewrite_keeps_old_file(self, tmp_path):
         path = tmp_path / "t.csv"
