@@ -214,11 +214,17 @@ def field_to_csv(path, arr: np.ndarray, header: dict | None = None) -> None:
     """Write a real-valued field as CSV, one line per grid row.
 
     Optional ``header`` entries are emitted as leading '# key = value'
-    comment lines, which :func:`field_from_csv` skips.
+    comment lines, which :func:`field_from_csv` skips.  The rows are the
+    bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes, formatted in
+    one pass and written with the header in one call.
     """
+    rows = np.atleast_2d(arr)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    # one row's floats at a time, and no second copy of the text
+    text = "".join([key_value_lines(header or {}, "# ")]
+                   + [line % tuple(row.tolist()) for row in rows])
     with atomic_open(path) as fh:
-        fh.write(key_value_lines(header or {}, "# "))
-        np.savetxt(fh, np.atleast_2d(arr), fmt="%.17g", delimiter=",")
+        fh.write(text)
 
 
 def field_from_csv(path, shape) -> np.ndarray:

@@ -65,13 +65,16 @@ DEFAULT_EPSILON = 1e-14
 class MeasurementSet:
     """Measured data of P planes as two read-only ``(P, n, n)`` stacks, the
     ``intensities`` I and the ``amplitudes`` sqrt(I), computed once when the
-    set is built; row m is plane m.  Two sets compare by identity."""
+    set is built; row m is plane m.  Two sets compare by identity.
+    ``names[m]``, when given, names plane m in the error that rejects it."""
 
     intensities: np.ndarray
     amplitudes: np.ndarray
 
-    def __init__(self, intensities: Sequence[np.ndarray]):
-        ints = [require_intensity(i) for i in intensities]
+    def __init__(self, intensities: Sequence[np.ndarray], names: Sequence = ()):
+        names = names or ["intensity field"] * len(intensities)
+        ints = [require_intensity(i, name)
+                for i, name in zip(intensities, names, strict=True)]
         if not ints:
             raise ValueError("a measurement set needs at least one plane")
         for i in ints[1:]:

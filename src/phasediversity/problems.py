@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import (atomic_open, field_from_csv, field_to_csv, format_floats,
                      key_value_lines, load_field, parse_bool, parse_floats,
-                     read_key_values, require_intensity, save_field)
+                     read_key_values, save_field)
 from .forward import DiversityPlan, PupilGrid, diversity_forward
 from .objectives import MeasurementSet
 
@@ -55,6 +55,34 @@ PROBLEM_DEFAULTS = {
 }
 _SEGMENTED = PROBLEM_DEFAULTS["segmented"]
 
+# name -> (rule over the parameters, what it asks); a parameter without a
+# rule need only be finite
+_PARAM_RULES = {
+    "r_outer": (lambda p: 0.0 < p["r_outer"] <= 0.5, "lie in (0, 0.5]"),
+    "r_inner": (lambda p: 0.0 <= p["r_inner"] < p["r_outer"],
+                "lie in [0, r_outer)"),
+    "zernike_index": (lambda p: p["zernike_index"] >= 1, "be >= 1"),
+    "r0": (lambda p: p["r0"] > 0, "be > 0"),
+    "outer_scale": (lambda p: p["outer_scale"] > 0, "be > 0"),
+    "rings": (lambda p: p["rings"] >= 0, "be >= 0"),
+    "gap_frac": (lambda p: 0.0 <= p["gap_frac"] < 1.0, "lie in [0, 1)"),
+    "outer_radius": (lambda p: 0.0 < p["outer_radius"] <= 0.5,
+                     "lie in (0, 0.5]"),
+}
+
+
+def _check_params(params: dict) -> None:
+    """Raise a ValueError naming ``problem.<name>`` for the first generator
+    parameter in ``params`` that is not finite or breaks its rule.  The
+    generators, :func:`build_problem` and :func:`load_instance` all check
+    through here."""
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"problem.{name} must be finite, got {value}")
+    for name, (holds, wants) in _PARAM_RULES.items():
+        if name in params and not holds(params):
+            raise ValueError(f"problem.{name} must {wants}, got {params[name]}")
+
 
 def annular_pupil(n: int, r_inner: float, r_outer: float) -> PupilGrid:
     """Annular mask r_inner <= r < r_outer on the centered lattice.
@@ -62,10 +90,7 @@ def annular_pupil(n: int, r_inner: float, r_outer: float) -> PupilGrid:
     A disc is the r_inner = 0 case.  Radii live in [0, 0.5] (half the
     grid width); r_inner must be strictly below r_outer.
     """
-    if not (0.0 <= r_inner < r_outer <= 0.5):
-        raise ValueError(
-            f"invalid pupil radii: need 0 <= r_inner < r_outer <= 0.5, "
-            f"got ({r_inner}, {r_outer})")
+    _check_params({"r_inner": r_inner, "r_outer": r_outer})
     x, y = PupilGrid.coordinates(n)
     r = np.sqrt(x * x + y * y)
     return PupilGrid(n, (r >= r_inner) & (r < r_outer))
@@ -109,6 +134,8 @@ def zernike_annular_basis(grid: PupilGrid, count: int) -> np.ndarray:
     Gram-Schmidt orthonormalized in the discrete inner product
     <a, b> = mean over mask of a*b, so each mode has unit RMS on the
     mask.  Returns an array of shape (count, n, n), zero outside the mask.
+    Each mean is ``np.add.reduce(a * b) / npix``, the sum and division
+    ``np.mean`` makes, without its per-call wrapper.
     """
     mask = grid.mask
     npix = int(mask.sum())
@@ -127,8 +154,8 @@ def zernike_annular_basis(grid: PupilGrid, count: int) -> np.ndarray:
         v = zernike_circle(j, rho, theta)
         for _ in range(2):  # re-orthogonalize for 1e-10 level orthonormality
             for b in basis:
-                v = v - np.mean(b * v) * b
-        nrm = math.sqrt(float(np.mean(v * v)))
+                v = v - np.add.reduce(b * v) / npix * b
+        nrm = math.sqrt(float(np.add.reduce(v * v) / npix))
         if nrm < 1e-12:
             raise ValueError(f"mask cannot support mode {j} (rank deficient)")
         basis.append(v / nrm)
@@ -141,6 +168,7 @@ def zernike_annular_basis(grid: PupilGrid, count: int) -> np.ndarray:
 
 def zernike_annular_phase(grid: PupilGrid, index: int, coeff: float) -> np.ndarray:
     """Phase field (waves) coeff * mode ``index``; RMS over the mask = |coeff|."""
+    _check_params({"zernike_index": index})
     basis = zernike_annular_basis(grid, index)
     return coeff * basis[index - 1]
 
@@ -156,8 +184,7 @@ def von_karman_screen(grid: PupilGrid, r0: float = 0.1, outer_scale: float = 2.0
     mean-removed and rescaled so the RMS over the mask equals
     ``target_rms``.
     """
-    if r0 <= 0 or outer_scale <= 0:
-        raise ValueError("r0 and outer_scale must be positive")
+    _check_params({"r0": r0, "outer_scale": outer_scale})
     n = grid.n
     rng = np.random.default_rng(seed)
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -202,12 +229,8 @@ def segmented_membership(x: np.ndarray, y: np.ndarray,
     by ``gap_frac`` of the center pitch.  The aperture is scaled to fit
     inside ``outer_radius``.
     """
-    if rings < 0:
-        raise ValueError("rings must be >= 0")
-    if not (0.0 <= gap_frac < 1.0):
-        raise ValueError("gap_frac must lie in [0, 1)")
-    if not (0.0 < outer_radius <= 0.5):
-        raise ValueError("outer_radius must lie in (0, 0.5]")
+    _check_params({"rings": rings, "gap_frac": gap_frac,
+                   "outer_radius": outer_radius})
     pitch = outer_radius / (rings + (1.0 - gap_frac) / math.sqrt(3.0))
     apothem = pitch * (1.0 - gap_frac) / 2.0
     if rings == 0:
@@ -346,9 +369,7 @@ def build_problem(ptype: str, n: int, seed: int = 0,
     if unknown:
         raise ValueError(f"unknown {ptype} parameters: {sorted(unknown)}")
     opts.update(params)
-    for key, value in opts.items():
-        if not np.isfinite(value):
-            raise ValueError(f"problem.{key} must be finite, got {value}")
+    _check_params(opts)
 
     if ptype == "zernike":
         grid = annular_pupil(n, opts["r_inner"], opts["r_outer"])
@@ -404,8 +425,9 @@ def save_instance(instance: ProblemInstance, path) -> None:
 def load_instance(path) -> ProblemInstance:
     """Read a :func:`save_instance` directory.  A ValueError names the file
     at fault: a ``config.txt`` without a key that :func:`save_instance` writes
-    or with a bad type, ``problem.n`` or plan value (parsed as the config
-    parses it), a truth or plane file not a finite n x n grid (a plane also
+    or with a bad type, ``problem.*`` or plan value (parsed as the config
+    parses it; generator parameters checked as :func:`build_problem` checks
+    them), a truth or plane file not a finite n x n grid (a plane also
     >= 0), or a ``plane_*.csv`` the plan does not name."""
     path = Path(path)
     config = path / "config.txt"
@@ -424,8 +446,13 @@ def load_instance(path) -> ProblemInstance:
         raise ValueError(f"{config}: problem.type must be one of "
                          f"{PROBLEM_TYPES}, got {ptype!r}")
     n = value("problem.n", int)
-    for name in ("seed", *PROBLEM_DEFAULTS[ptype]):
-        value(f"problem.{name}")
+    value("problem.seed", int)
+    params = {name: value(f"problem.{name}", type(default))
+              for name, default in PROBLEM_DEFAULTS[ptype].items()}
+    try:
+        _check_params(params)
+    except ValueError as exc:
+        raise ValueError(f"{config}: {exc}") from exc
     if "noise.snr" in meta:
         value("noise.seed")
     amplitude_plane = value("plan.amplitude_plane", parse_bool)
@@ -437,6 +464,6 @@ def load_instance(path) -> ProblemInstance:
     if stray:
         raise ValueError(f"{stray[0]} is not one of the {len(plan)} planes "
                          f"of the plan in config.txt")
-    intensities = [require_intensity(field_from_csv(file, (n, n)), file)
-                   for file in planes]
-    return ProblemInstance(grid, truth, plan, MeasurementSet(intensities), meta)
+    data = MeasurementSet([field_from_csv(file, (n, n)) for file in planes],
+                          names=planes)
+    return ProblemInstance(grid, truth, plan, data, meta)

@@ -1091,6 +1091,36 @@ class TestInputFiles:
         assert key == "plane" or "config.txt" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ptype, key, value", [
+        ("vonkarman", "r0", "-1"),
+        ("vonkarman", "r0", "abc"),
+        ("vonkarman", "r0", "nan"),
+        ("vonkarman", "outer_scale", "0"),
+        ("vonkarman", "target_rms", "inf"),
+        ("vonkarman", "r_inner", "0.3"),
+        ("vonkarman", "r_outer", "0.6"),
+        ("zernike", "zernike_index", "0"),
+        ("zernike", "zernike_index", "1.5"),
+        ("zernike", "zernike_coeff", "nan"),
+        ("segmented", "rings", "-1"),
+        ("segmented", "gap_frac", "1"),
+        ("segmented", "outer_radius", "0"),
+    ])
+    def test_generator_parameter_checked_on_load(self, tmp_path, capsys,
+                                                 ptype, key, value):
+        # a value simulate would reject, written into a simulated instance
+        inst = tmp_path / "inst"
+        assert main(["simulate", "--set", f"problem.type={ptype}",
+                     "--set", "problem.n=16", "--out", str(inst)]) == 0
+        _edit_config(inst, f"problem.{key}", value)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["solve", "--instance", str(inst), *self.RUN,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config.txt" in err and f"problem.{key}" in err, err
+        assert not out.exists()
+
     def test_inline_comments_in_config_txt_change_nothing(self, tmp_path):
         inst = tmp_path / "inst"
         assert main(["simulate", "--set", "problem.n=8",

@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -144,6 +145,20 @@ class TestSerialization:
         back = field_from_csv(tmp_path / "h.csv", (2, 3))
         assert np.array_equal(back, arr, equal_nan=True)
         assert np.array_equal(np.signbit(back), np.signbit(arr))
+
+    @pytest.mark.parametrize("shape", [(37, 53), (53,)], ids=["2-d", "1-d"])
+    def test_csv_rows_are_the_bytes_of_savetxt(self, tmp_path, shape):
+        rng = np.random.default_rng(37)
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                    1.7976931348623157e308]
+        arr.flat[rng.choice(arr.size, len(specials), replace=False)] = specials
+        header = {"problem.n": 37, "plan.defocus": "-3,3"}
+        field_to_csv(tmp_path / "f.csv", arr, header=header)
+        rows = io.StringIO()
+        np.savetxt(rows, np.atleast_2d(arr), fmt="%.17g", delimiter=",")
+        assert (tmp_path / "f.csv").read_bytes() == \
+            (key_value_lines(header, "# ") + rows.getvalue()).encode()
 
     def test_csv_without_data_rows_rejected(self, tmp_path):
         (tmp_path / "e.csv").write_text("# a = 1\n")

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from phasediversity.problems import (
     von_karman_screen,
     zernike_annular_basis,
     zernike_annular_phase,
+    zernike_circle,
 )
 
 from conftest import defocus_phase
@@ -83,6 +85,29 @@ class TestZernike:
         grid = annular_pupil(128, 0.2, 0.5)
         phase = zernike_annular_phase(grid, 13, 0.1)
         assert np.std(phase[grid.mask]) == pytest.approx(0.1, abs=1e-10)
+
+    @pytest.mark.parametrize("count", [1, 13, 21])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("r_inner", [0.12, 0.0], ids=["annulus", "disc"])
+    def test_basis_bits_equal_np_mean_gram_schmidt(self, r_inner, n, count):
+        # the Gram-Schmidt loop written with np.mean, as a reference
+        grid = annular_pupil(n, r_inner, 0.3)
+        mask = grid.mask
+        x, y = grid.xy
+        r = np.sqrt(x * x + y * y)
+        rho = (r / r[mask].max())[mask]
+        theta = np.arctan2(y, x)[mask]
+        basis = []
+        for j in range(1, count + 1):
+            v = zernike_circle(j, rho, theta)
+            for _ in range(2):
+                for b in basis:
+                    v = v - np.mean(b * v) * b
+            basis.append(v / math.sqrt(float(np.mean(v * v))))
+        expected = np.zeros((count, n, n))
+        for j, b in enumerate(basis):
+            expected[j][mask] = b
+        assert zernike_annular_basis(grid, count).tobytes() == expected.tobytes()
 
     def test_index_beyond_mask_rank(self):
         grid = annular_pupil(4, 0.0, 0.5)
@@ -301,6 +326,31 @@ class TestProblemInstances:
 
         assert abs(DataMisfit(spec).value(back.truth)
                    - (-sum(float(i.sum()) for i in back.data.intensities))) < 1e-6
+
+    def test_each_plane_checked_once_on_load(self, tmp_path, monkeypatch):
+        from phasediversity import fields, objectives, problems
+
+        inst = build_problem("zernike", 8, defocus=(-3.0, 0.0, 3.0))
+        save_instance(inst, tmp_path / "inst")
+        checked = []
+
+        def counting(arr, name="intensity field"):
+            checked.append(name)
+            return fields.require_intensity(arr, name)
+
+        for module in (objectives, problems):  # every module that imports it
+            if hasattr(module, "require_intensity"):
+                monkeypatch.setattr(module, "require_intensity", counting)
+        load_instance(tmp_path / "inst")
+        assert len(checked) == len(inst.plan) == 4
+        plane = tmp_path / "inst" / "plane_01.csv"
+        lines = plane.read_text().splitlines(keepends=True)
+        row = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        lines[row] = "nan" + lines[row][lines[row].index(","):]
+        plane.write_text("".join(lines))
+        with pytest.raises(ValueError,
+                           match=r"plane_01\.csv has non-finite entries"):
+            load_instance(tmp_path / "inst")
 
     def test_plan_survives_save_load_exactly(self, tmp_path):
         inst = build_problem("zernike", 16, defocus=(-3.1234567, 3.0))
