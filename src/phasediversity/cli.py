@@ -115,8 +115,6 @@ def main(argv=None) -> int:
                 devs = {m: e["dense_max_deviation"]
                         for m, e in plane["models"].items()}
                 print(f"{plane['plane']}: dense deviation {devs}")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

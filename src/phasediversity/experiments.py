@@ -54,8 +54,8 @@ from .optimizers import (
 )
 from .problems import (
     PROBLEM_DEFAULTS,
-    PROBLEM_TYPES,
     ProblemInstance,
+    _check_instance,
     add_poisson_noise,
     build_problem,
     morozov_stop,
@@ -118,30 +118,21 @@ class ExperimentConfig:
     given: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
-        if self.problem_type not in PROBLEM_TYPES:
-            raise ConfigError(f"problem.type must be one of {PROBLEM_TYPES}, "
-                              f"got {self.problem_type!r}")
+        try:
+            _check_instance(self.problem_type, self.problem_params,
+                            self.problem_seed, self.snr, self.noise_seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.model not in MODELS:
             raise ConfigError(f"objective.model must be one of {MODELS}, "
                               f"got {self.model!r}")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
-        for key, seed in (("problem.seed", self.problem_seed),
-                          ("noise.seed", self.noise_seed)):
-            if seed < 0:
-                raise ConfigError(f"{key} must be >= 0, got {seed}")
         for key, value in (("morozov.tau", self.morozov_tau),
-                           ("summary.success_rms", self.success_rms),
-                           ("noise.snr", self.snr)):
-            if value is not None and not (np.isfinite(value) and value > 0):
+                           ("summary.success_rms", self.success_rms)):
+            if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be a finite number > 0, "
                                   f"got {value}")
-        known = set(PROBLEM_DEFAULTS[self.problem_type])
-        unknown = set(self.problem_params) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown problem.{self.problem_type} parameter(s): "
-                f"{', '.join(sorted(unknown))}")
 
     def to_flat(self) -> dict:
         """Flat key -> value in ``_KEYS`` order, problem parameters after
@@ -279,24 +270,20 @@ def reconcile_noise(config: ExperimentConfig,
 _INSTANCE = ("problem.", "plan.", "noise.")
 
 
-def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir,
-             runs_method: bool = True):
+def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     """Runner prologue, run once per batch: the instance with the config's
     noise added, the created output directory and the config to embed.
 
-    A bad value (noise, epsilon, a plan the method cannot use if the runner
-    ``runs_method``) is a ConfigError raised before the output directory
-    exists.  The embedded config takes its ``problem.*``, ``plan.*`` and
-    ``noise.*`` keys from the instance; any of them the config sets must agree.
+    A bad value (noise, epsilon) is a ConfigError raised before the output
+    directory exists.  The embedded config takes its ``problem.*``,
+    ``plan.*`` and ``noise.*`` keys from the instance; any of them the
+    config sets must agree.
     """
     try:
         instance = reconcile_noise(config, instance)
         _objective_spec(config, instance)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if (runs_method and config.solver.method == "MISELL"
-            and len(instance.plan.defocus) < 2):
-        raise ConfigError("the projection baseline needs at least two defocus planes")
     wants = config.to_flat()
     own = {k: str(v) for k, v in wants.items() if not k.startswith(_INSTANCE)}
     meta = {k: str(v) for k, v in instance.meta.items()
@@ -402,8 +389,10 @@ def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     """Seeded restart batch; writes per-restart trace CSVs and summary.json.
 
     A failure inside one restart is recorded on its summary row and does
-    not abort the batch.
+    not abort the batch.  MISELL needs two defocus planes.
     """
+    if config.solver.method == "MISELL" and len(instance.plan.defocus) < 2:
+        raise ConfigError("the projection baseline needs at least two defocus planes")
     instance, out, flat = _prepare(config, instance, out_dir)
     results = _restarts(config, instance)
     for trace, row in results:
@@ -426,7 +415,7 @@ def run_compare_methods(config: ExperimentConfig, instance: ProblemInstance,
     A failure inside one restart is recorded on its row and does not abort
     the comparison.
     """
-    instance, out, flat = _prepare(config, instance, out_dir, runs_method=False)
+    instance, out, flat = _prepare(config, instance, out_dir)
     table = []
     for method in COMPARE_METHODS:
         batch = replace(config, solver=replace(config.solver, method=method))
@@ -465,8 +454,11 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
 
     Each model's per-restart summary rows are kept under ``restarts``; a
     failure inside one restart is recorded on its row and does not abort
-    the comparison.
+    the comparison.  MISELL, which fits no misfit model, is refused.
     """
+    if config.solver.method == "MISELL":
+        raise ConfigError("compare-models compares misfit models; "
+                          "solver.method MISELL fits none")
     instance, out, flat = _prepare(config, instance, out_dir)
     series_lines = []
     per_model = {}
@@ -513,7 +505,7 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
         matrices = [plane_matrix(plane, instance.grid) for plane in instance.plan]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    instance, out, flat = _prepare(config, instance, out_dir, runs_method=False)
+    instance, out, flat = _prepare(config, instance, out_dir)
     planes = []
     data = instance.data
     for plane, intensity, amplitude, U in zip(instance.plan, data.intensities,

@@ -53,6 +53,7 @@ PROBLEM_DEFAULTS = {
     "segmented": {"rings": 2, "gap_frac": 0.1, "outer_radius": 0.3,
                   "target_rms": 0.21, "outer_scale": 2.0, "r0": 0.1},
 }
+_VONKARMAN = PROBLEM_DEFAULTS["vonkarman"]
 _SEGMENTED = PROBLEM_DEFAULTS["segmented"]
 
 # name -> (rule over the parameters, what it asks); a parameter without a
@@ -74,14 +75,35 @@ _PARAM_RULES = {
 def _check_params(params: dict) -> None:
     """Raise a ValueError naming ``problem.<name>`` for the first generator
     parameter in ``params`` that is not finite or breaks its rule.  The
-    generators, :func:`build_problem` and :func:`load_instance` all check
-    through here."""
+    generators and :func:`_check_instance` check through here."""
     for name, value in params.items():
         if not np.isfinite(value):
             raise ValueError(f"problem.{name} must be finite, got {value}")
     for name, (holds, wants) in _PARAM_RULES.items():
         if name in params and not holds(params):
             raise ValueError(f"problem.{name} must {wants}, got {params[name]}")
+
+
+def _check_instance(ptype: str, params: dict, seed: int, snr=None,
+                    noise_seed=None) -> dict:
+    """The defaults of a ``ptype`` instance updated by ``params``, checked
+    with its seeds and SNR; a ValueError names the first key at fault.  The
+    config, :func:`build_problem` and :func:`load_instance` check here."""
+    if ptype not in PROBLEM_DEFAULTS:
+        raise ValueError(f"problem.type must be one of {PROBLEM_TYPES}, "
+                         f"got {ptype!r}")
+    unknown = set(params) - set(PROBLEM_DEFAULTS[ptype])
+    if unknown:
+        raise ValueError(f"unknown problem.{ptype} parameter(s): "
+                         f"{', '.join(sorted(unknown))}")
+    opts = {**PROBLEM_DEFAULTS[ptype], **params}
+    _check_params(opts)
+    for key, value in (("problem.seed", seed), ("noise.seed", noise_seed)):
+        if value is not None and value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
+    if snr is not None and not (np.isfinite(snr) and snr > 0):
+        raise ValueError(f"noise.snr must be a finite number > 0, got {snr}")
+    return opts
 
 
 def annular_pupil(n: int, r_inner: float, r_outer: float) -> PupilGrid:
@@ -173,8 +195,9 @@ def zernike_annular_phase(grid: PupilGrid, index: int, coeff: float) -> np.ndarr
     return coeff * basis[index - 1]
 
 
-def von_karman_screen(grid: PupilGrid, r0: float = 0.1, outer_scale: float = 2.0,
-                      seed: int = 0, target_rms: float = 0.19) -> np.ndarray:
+def von_karman_screen(grid: PupilGrid, r0: float = _VONKARMAN["r0"],
+                      outer_scale: float = _VONKARMAN["outer_scale"], seed: int = 0,
+                      target_rms: float = _VONKARMAN["target_rms"]) -> np.ndarray:
     """Turbulence-style phase screen (waves) via the spectral method.
 
     Complex white Gaussian noise is shaped by sqrt(PSD) with
@@ -361,15 +384,7 @@ def build_problem(ptype: str, n: int, seed: int = 0,
     (hexagonal segments, turbulence screen).  Unknown keyword parameters
     are rejected so config typos fail loudly.
     """
-    if ptype not in PROBLEM_DEFAULTS:
-        raise ValueError(f"unknown problem type {ptype!r}; "
-                         f"choose from {PROBLEM_TYPES}")
-    opts = dict(PROBLEM_DEFAULTS[ptype])
-    unknown = set(params) - set(opts)
-    if unknown:
-        raise ValueError(f"unknown {ptype} parameters: {sorted(unknown)}")
-    opts.update(params)
-    _check_params(opts)
+    opts = _check_instance(ptype, params, seed)
 
     if ptype == "zernike":
         grid = annular_pupil(n, opts["r_inner"], opts["r_outer"])
@@ -425,10 +440,10 @@ def save_instance(instance: ProblemInstance, path) -> None:
 def load_instance(path) -> ProblemInstance:
     """Read a :func:`save_instance` directory.  A ValueError names the file
     at fault: a ``config.txt`` without a key that :func:`save_instance` writes
-    or with a bad type, ``problem.*`` or plan value (parsed as the config
-    parses it; generator parameters checked as :func:`build_problem` checks
-    them), a truth or plane file not a finite n x n grid (a plane also
-    >= 0), or a ``plane_*.csv`` the plan does not name."""
+    or with a bad ``problem.*``, ``noise.*`` or plan value (parsed as the
+    config parses it and checked by the config's rules), a truth or plane
+    file not a finite n x n grid (a plane also >= 0), or a ``plane_*.csv``
+    the plan does not name."""
     path = Path(path)
     config = path / "config.txt"
     meta = read_key_values(config)
@@ -442,19 +457,17 @@ def load_instance(path) -> ProblemInstance:
             raise ValueError(f"{config}: bad {key}: {exc}") from exc
 
     ptype = value("problem.type")
-    if ptype not in PROBLEM_TYPES:
-        raise ValueError(f"{config}: problem.type must be one of "
-                         f"{PROBLEM_TYPES}, got {ptype!r}")
     n = value("problem.n", int)
-    value("problem.seed", int)
+    seed = value("problem.seed", int)
+    # an unknown type has no parameters to read; the check names it
     params = {name: value(f"problem.{name}", type(default))
-              for name, default in PROBLEM_DEFAULTS[ptype].items()}
+              for name, default in PROBLEM_DEFAULTS.get(ptype, {}).items()}
+    noise = ((value("noise.snr", float), value("noise.seed", int))
+             if "noise.snr" in meta else ())
     try:
-        _check_params(params)
+        _check_instance(ptype, params, seed, *noise)
     except ValueError as exc:
         raise ValueError(f"{config}: {exc}") from exc
-    if "noise.snr" in meta:
-        value("noise.seed")
     amplitude_plane = value("plan.amplitude_plane", parse_bool)
     plan = value("plan.defocus",
                  lambda text: DiversityPlan(parse_floats(text), amplitude_plane))

@@ -92,6 +92,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_mapping({"problem.type": "airy"})
 
+    def test_generator_rule_applies_at_config_time(self):
+        with pytest.raises(ConfigError, match="problem.r0 must be > 0"):
+            config_from_mapping({"problem.type": "vonkarman",
+                                 "problem.r0": "-1"})
+
     def test_solver_constraint_violation_is_config_error(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"solver.c1": "0.95"})
@@ -782,9 +787,9 @@ class TestCli:
                                          "compare-models", "analyze-hessian"])
     def test_misell_plan_checked_only_where_misell_runs(self, tmp_path, capsys,
                                                         command):
-        # one defocus plane: solve and compare-models would run MISELL on
-        # it; compare-methods runs SD/NCG/LBFGS/TN and analyze-hessian no
-        # solver, so both run
+        # one defocus plane: solve would run MISELL on it; compare-models
+        # refuses MISELL on any plan; compare-methods runs SD/NCG/LBFGS/TN
+        # and analyze-hessian no solver, so both run
         inst_dir = tmp_path / "inst"
         assert main(["simulate", "--set", "problem.n=8",
                      "--set", "plan.defocus=3", "--out", str(inst_dir)]) == 0
@@ -793,12 +798,22 @@ class TestCli:
         rc = main([command, "--instance", str(inst_dir),
                    "--set", "solver.method=MISELL", "--set", "restarts=1",
                    "--set", "solver.max_iters=3", "--out", str(out)])
-        if command in ("solve", "compare-models"):
+        if command == "solve":
             assert rc == 2
             assert "two defocus planes" in capsys.readouterr().err
             assert not out.exists()
+        elif command == "compare-models":
+            assert rc == 2
+            assert "MISELL fits none" in capsys.readouterr().err
+            assert not out.exists()
         else:
             assert rc == 0 and any(out.iterdir())
+
+    def test_compare_models_refuses_misell(self, tmp_path, capsys):
+        # Misell's projections fit no misfit model: on a two-plane plan the
+        # three batches would be one batch under three labels
+        self.config_error_names(tmp_path, capsys, "compare-models",
+                                ["solver.method=MISELL"], "MISELL fits none")
 
     @pytest.mark.parametrize("command", ["simulate", "solve"])
     def test_negative_noise_seed_named_in_error(self, tmp_path, capsys,
@@ -830,6 +845,13 @@ class TestCli:
     def test_non_finite_instance_value_named_in_error(self, tmp_path, capsys,
                                                       settings, key):
         self.config_error_names(tmp_path, capsys, "simulate", settings, key)
+
+    def test_one_pixel_screen_is_config_error(self, tmp_path, capsys):
+        # the vonkarman pupil at n = 2 holds one pixel, where the
+        # mean-removed screen has zero variance
+        self.config_error_names(tmp_path, capsys, "simulate",
+                                ["problem.type=vonkarman", "problem.n=2"],
+                                "zero variance")
 
     def test_intensity_csvs_parse_with_headers(self, tmp_path):
         inst_dir = tmp_path / "inst"
@@ -1065,10 +1087,16 @@ class TestInputFiles:
         ([], ("plan.defocus", "-3,x"), "plan.defocus"),
         ([], ("plan.defocus", "-3,nan"), "plan.defocus"),
         (["noise.snr=20", "noise.seed=3"], ("noise.seed", None), "noise.seed"),
+        (["noise.snr=20", "noise.seed=3"], ("noise.seed", "abc"), "noise.seed"),
+        (["noise.snr=20", "noise.seed=3"], ("noise.seed", "-2"), "noise.seed"),
+        (["noise.snr=20", "noise.seed=3"], ("noise.snr", "-5"), "noise.snr"),
+        ([], ("problem.seed", "-1"), "problem.seed"),
         ([], ("plane", "nan"), "plane_01.csv"),
         ([], ("plane", "-1"), "plane_01.csv"),
     ], ids=["no-seed", "no-r0", "no-type", "bad-type", "bad-n", "bad-defocus",
-            "nan-defocus", "no-noise-seed", "plane-nan", "plane-negative"])
+            "nan-defocus", "no-noise-seed", "bad-noise-seed",
+            "negative-noise-seed", "negative-snr", "negative-seed",
+            "plane-nan", "plane-negative"])
     def test_instance_must_state_its_keys(self, tmp_path, capsys, sets, edit,
                                           named):
         # a vonkarman instance simulated with a non-default seed: a missing

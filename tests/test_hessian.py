@@ -278,6 +278,12 @@ class TestLipschitzBound:
 
 
 class TestSpectrumReport:
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError, match="empty spectrum"):
+            SpectrumReport.from_eigenvalues([])
+        with pytest.raises(ValueError, match="unknown misfit model 'L2'"):
+            closed_form_spectrum("L2", np.ones(4), np.ones(4), 1e-3)
+
     def test_json_roundtrip(self):
         report = SpectrumReport.from_eigenvalues(np.array([3.0, -1.0, 2.0]), "LS")
         back = json.loads(json.dumps(report.to_dict()))

@@ -376,6 +376,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             MeasurementSet([np.ones((1, 2)), np.array([[1.0, bad]])])
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one plane"):
+            MeasurementSet([])
+
     def test_amplitudes_are_sqrt_of_intensities(self):
         data = MeasurementSet([np.array([[4.0, 9.0]])])
         assert np.array_equal(data.amplitudes[0] ** 2, data.intensities[0])

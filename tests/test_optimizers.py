@@ -9,6 +9,7 @@ from phasediversity.optimizers import (
     RunTrace,
     SolverConfig,
     TraceRecord,
+    _cubic_minimizer,
     _newton_cg_direction,
     hestenes_stiefel_beta,
     lbfgs_direction,
@@ -445,6 +446,13 @@ class TestMisell:
 
 
 class TestSolverInfrastructure:
+    @pytest.mark.parametrize("args", [
+        (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),  # flat cubic: zero denominator
+        (-1e308, 0.0, -1.0, 1e308, 0.0, 1.0),  # b - a overflows to inf
+    ], ids=["zero-denominator", "infinite-candidate"])
+    def test_degenerate_cubic_has_no_minimizer(self, args):
+        assert _cubic_minimizer(*args) is None
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(method="QN")
@@ -452,6 +460,10 @@ class TestSolverInfrastructure:
             SolverConfig(c1=0.5, c2=0.1)
         with pytest.raises(ValueError):
             SolverConfig(lbfgs_memory=0)
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            SolverConfig(max_iters=-1)
+        with pytest.raises(ValueError, match="memory capacity must be >= 1"):
+            LbfgsMemory(0)
         with pytest.raises(ValueError, match="tn_cg_max must be >= 1 or none"):
             SolverConfig(tn_cg_max=0)
         assert SolverConfig(tn_cg_max=1).tn_cg_max == 1

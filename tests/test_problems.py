@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from phasediversity.forward import PupilGrid
 from phasediversity.objectives import DataMisfit, MeasurementSet, ObjectiveSpec
 from phasediversity.optimizers import SolverConfig, solve
 from phasediversity.problems import (
+    PROBLEM_DEFAULTS,
     add_poisson_noise,
     annular_pupil,
     build_problem,
@@ -64,6 +66,8 @@ class TestZernike:
         assert noll_to_nm(11) == (4, 0)
         n, m = noll_to_nm(13)
         assert (n, abs(m)) == (4, 2)
+        with pytest.raises(ValueError, match="start at 1"):
+            noll_to_nm(0)
 
     def test_piston_constant_on_mask(self):
         grid = annular_pupil(32, 0.1, 0.4)
@@ -113,6 +117,13 @@ class TestZernike:
         grid = annular_pupil(4, 0.0, 0.5)
         with pytest.raises(ValueError):
             zernike_annular_basis(grid, 100)
+        with pytest.raises(ValueError, match="empty pupil mask"):
+            zernike_annular_basis(PupilGrid(4, np.zeros((4, 4), bool)), 1)
+        # three pixels on the y = 0 row: the y tilt (mode 3) vanishes there
+        row = np.zeros((8, 8), bool)
+        row[4, 3:6] = True
+        with pytest.raises(ValueError, match="mode 3 .rank deficient"):
+            zernike_annular_basis(PupilGrid(8, row), 3)
 
 
 class TestVonKarman:
@@ -123,6 +134,19 @@ class TestVonKarman:
         assert np.array_equal(s1, s2)
         s3 = von_karman_screen(grid, seed=12)
         assert not np.array_equal(s1, s3)
+
+    def test_defaults_are_the_vonkarman_problem_defaults(self):
+        params = inspect.signature(von_karman_screen).parameters
+        for name in ("r0", "outer_scale", "target_rms"):
+            assert params[name].default == PROBLEM_DEFAULTS["vonkarman"][name]
+
+    def test_degenerate_masks_rejected(self):
+        with pytest.raises(ValueError, match="empty pupil mask"):
+            von_karman_screen(PupilGrid(4, np.zeros((4, 4), bool)))
+        # simulate's vonkarman pupil at n = 2 has one pixel, where the
+        # mean-removed screen is zero
+        with pytest.raises(ValueError, match="zero variance"):
+            von_karman_screen(annular_pupil(2, 0.0, 0.3))
 
     def test_mask_statistics_enforced(self):
         grid = annular_pupil(32, 0.0, 0.4)
@@ -263,6 +287,8 @@ class TestMorozov:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             morozov_stop([], 1.0)
+        with pytest.raises(ValueError, match="below the objective floor"):
+            morozov_stop([1.0], -2.0, floor=-1.0)
 
     def test_floor_shifts_threshold(self):
         # values approach -10; level -9 with floor -10 gives threshold -8.95
