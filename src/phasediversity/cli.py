@@ -88,28 +88,26 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             simulate(config, out)
             print(f"instance written to {out}")
-        elif args.command == "solve":
-            instance = _load_instance(args)
+            return 0
+        instance = _load_instance(args)
+        if args.command == "solve":
             summary = run_solve(config, instance, out)
             agg = summary["aggregates"]
             print(f"solve: {config.solver.method} x{config.restarts} restarts -> "
                   f"success_rate {agg['success_rate']:.2f}, "
                   f"mean_fft_calls {agg['mean_fft_calls']:.1f} ({out})")
         elif args.command == "compare-methods":
-            instance = _load_instance(args)
             payload = run_compare_methods(config, instance, out)
             for entry in payload["methods"]:
                 print(f"{entry['method']:6s} mean_fft {entry['mean_fft_calls']:9.1f} "
                       f"success {entry['success_rate']:.2f}")
             print("fft orderings:", payload["fft_orderings"])
         elif args.command == "compare-models":
-            instance = _load_instance(args)
             payload = run_compare_models(config, instance, out)
             for model, entry in payload["models"].items():
                 print(f"{model:4s} reached rms<{payload['rms_target']:g} "
                       f"in {entry['n_reached']}/{config.restarts} restarts")
         elif args.command == "analyze-hessian":
-            instance = _load_instance(args)
             payload = run_analyze_hessian(config, instance, args.point, out)
             for plane in payload["planes"]:
                 devs = {m: e["dense_max_deviation"]

@@ -46,6 +46,7 @@ from .objectives import (
     objective_floor,
 )
 from .optimizers import (
+    LINE_SEARCH_METHODS,
     RunTrace,
     SolverConfig,
     misell_iterate,
@@ -53,6 +54,8 @@ from .optimizers import (
     solve,
 )
 from .problems import (
+    DEFAULT_MOROZOV_TAU,
+    DEFAULT_PLAN,
     PROBLEM_DEFAULTS,
     ProblemInstance,
     _check_instance,
@@ -77,7 +80,7 @@ __all__ = [
     "COMPARE_METHODS",
 ]
 
-COMPARE_METHODS = ("SD", "NCG", "LBFGS", "TN")
+COMPARE_METHODS = LINE_SEARCH_METHODS
 _RMS_TARGET = 1e-3  # compare-models counts iterations to reach this RMS
 
 
@@ -102,8 +105,8 @@ class ExperimentConfig:
     n: int = 32
     problem_seed: int = 0
     problem_params: dict = field(default_factory=dict)
-    defocus: tuple = (-3.0, 3.0)
-    amplitude_plane: bool = True
+    defocus: tuple = DEFAULT_PLAN.defocus
+    amplitude_plane: bool = DEFAULT_PLAN.amplitude_plane
     model: str = "LS"
     epsilon: float = DEFAULT_EPSILON
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -111,7 +114,7 @@ class ExperimentConfig:
     snr: float | None = None
     noise_seed: int = 0
     morozov: bool = False
-    morozov_tau: float = 1.05
+    morozov_tau: float = DEFAULT_MOROZOV_TAU
     success_rms: float = 1e-5
     output_dir: str | None = None
     # flat keys the sources set; only these are checked against an instance
@@ -298,6 +301,22 @@ def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     return instance, out, flat
 
 
+def _restart_row(restart: int, seed: int, trace: RunTrace) -> dict:
+    """One restart's summary row; the empty trace of a failed restart gives
+    0 iterations and FFT calls and NaN values."""
+    last = trace.records[-1] if trace.records else None
+    return {
+        "restart": restart,
+        "seed": seed,
+        "iterations": trace.iterations,
+        "fft_calls": trace.fft_calls,
+        "stop_reason": trace.stop_reason,
+        "final_f": last.f_value if last else np.nan,
+        "final_rms": last.rms if last else np.nan,
+        "min_rms": float(np.nanmin(trace.rms_values)) if last else np.nan,
+    }
+
+
 def run_single(config: ExperimentConfig, instance: ProblemInstance,
                restart: int):
     """One seeded solve of ``config.model`` by ``config.solver.method``;
@@ -314,17 +333,7 @@ def run_single(config: ExperimentConfig, instance: ProblemInstance,
         obj = DataMisfit(spec)
         _, trace = solve(obj, config.solver, z0, truth=instance.truth)
 
-    last = trace.records[-1]
-    row = {
-        "restart": restart,
-        "seed": seed,
-        "iterations": trace.iterations,
-        "fft_calls": trace.fft_calls,
-        "stop_reason": trace.stop_reason,
-        "final_f": last.f_value,
-        "final_rms": last.rms,
-        "min_rms": float(np.nanmin(trace.rms_values)),
-    }
+    row = _restart_row(restart, seed, trace)
     if config.morozov:
         if misell:
             # the projection trace records the nonnegative modulus residual
@@ -377,11 +386,8 @@ def _restarts(config: ExperimentConfig, instance: ProblemInstance):
         try:
             results.append(run_single(config, instance, i))
         except Exception as exc:  # noqa: BLE001 - isolate restart failures
-            nan = float("nan")
-            results.append((None, {
-                "restart": i, "seed": config.solver.seed + i, "iterations": 0,
-                "fft_calls": 0, "stop_reason": f"error: {exc}",
-                "final_f": nan, "final_rms": nan, "min_rms": nan}))
+            failed = RunTrace(stop_reason=f"error: {exc}")
+            results.append((None, _restart_row(i, config.solver.seed + i, failed)))
     return results
 
 

@@ -101,10 +101,14 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown misfit model {self.model!r}")
+        # the MLP and LS Hessian coefficients divide by (K + eps^2)^2 and
+        # (K + eps^2)^1.5 where K may be 0, so eps^4 must be a normal float
         eps = float(self.epsilon)
-        if not (eps > 0 and 0 < eps * eps < np.inf):
-            raise ValueError("epsilon must be a number > 0 whose square is "
-                             f"finite and > 0, got {self.epsilon}")
+        eps2 = eps * eps
+        if not (eps > 0 and eps2 < np.inf and eps2 * eps2 >= np.finfo(float).tiny):
+            raise ValueError("objective.epsilon must be > 0 with a finite square "
+                             "and a normal fourth power (about >= 1.22e-77), "
+                             f"got {self.epsilon}")
         if len(self.data) != len(self.plan):
             raise ValueError(
                 f"{len(self.data)} data planes for {len(self.plan)} plan planes")

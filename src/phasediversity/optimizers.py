@@ -21,6 +21,8 @@ truncated Newton with matrix-free inner CG.  They share one iteration
 body and differ only in the search direction; a failed search retries
 once along -g, unless the failed direction already equals -g.
 :func:`misell_iterate` runs the Misell alternating-projection baseline.
+Every run records one :class:`TraceRecord` per iteration in a
+:class:`RunTrace`, whose CSV writes every cell as ``.17g``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .forward import (
 from .objectives import MeasurementSet
 
 __all__ = [
+    "LINE_SEARCH_METHODS",
     "METHODS",
     "SolverConfig",
     "TraceRecord",
@@ -62,7 +65,8 @@ __all__ = [
     "misell_iterate",
 ]
 
-METHODS = ("SD", "NCG", "LBFGS", "TN", "MISELL")
+LINE_SEARCH_METHODS = ("SD", "NCG", "LBFGS", "TN")  # the methods solve runs
+METHODS = (*LINE_SEARCH_METHODS, "MISELL")
 _MAX_EVALS = 50  # function/gradient evaluations per line search
 
 
@@ -123,18 +127,11 @@ class TraceRecord(NamedTuple):
     negative_curvature: bool
 
 
-# The trace schema, in TraceRecord field order: (CSV column, cell format
-# spec).  A new column is one line here plus one field above.
-TRACE_COLUMNS = (
-    ("iter", "d"),
-    ("f", ".17g"),
-    ("grad_norm", ".17g"),
-    ("alpha", ".17g"),
-    ("rms", ".17g"),
-    ("fft_calls", "d"),
-    ("neg_curv", "d"),
-)
-_TRACE_HEADER = ",".join(name for name, _ in TRACE_COLUMNS)
+# The trace's CSV columns, in TraceRecord field order; every cell is
+# written ".17g", which gives an int or bool the same text as "d".  A new
+# column is one name here plus one field above.
+TRACE_COLUMNS = ("iter", "f", "grad_norm", "alpha", "rms", "fft_calls",
+                 "neg_curv")
 
 
 @dataclass
@@ -147,9 +144,6 @@ class RunTrace:
 
     def append(self, rec: TraceRecord) -> None:
         self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     @property
     def f_values(self) -> np.ndarray:
@@ -171,10 +165,9 @@ class RunTrace:
         """Write the trace; header entries become '# key = value' lines."""
         with atomic_open(path) as fh:
             fh.write(key_value_lines(header, "# "))
-            fh.write(_TRACE_HEADER + "\n")
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
             for r in self.records:
-                fh.write(",".join(format(value, spec) for value, (_, spec)
-                                  in zip(r, TRACE_COLUMNS)) + "\n")
+                fh.write(",".join(format(value, ".17g") for value in r) + "\n")
 
 
 class LineSearchError(RuntimeError):
@@ -206,8 +199,8 @@ def _cubic_minimizer(a, fa, da, b, fb, db):
 
 
 def wolfe_line_search(f_and_grad: Callable, z: np.ndarray, d: np.ndarray,
-                      f0: float, dphi0: float, c1: float = 1e-4,
-                      c2: float = 0.9) -> LineSearchResult:
+                      f0: float, dphi0: float, c1: float = SolverConfig.c1,
+                      c2: float = SolverConfig.c2) -> LineSearchResult:
     """Find a step length satisfying both Wolfe conditions along ``d``.
 
     Accepted steps satisfy the strong form |Re(d* g_new)| <= -c2 dphi0,
@@ -382,9 +375,9 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
     line_search_fail.
     """
     method = config.method
-    if method not in ("SD", "NCG", "LBFGS", "TN"):
-        raise ValueError(f"solve runs SD, NCG, LBFGS or TN, not {method!r}; "
-                         "misell_iterate runs the projection baseline")
+    if method not in LINE_SEARCH_METHODS:
+        raise ValueError(f"solve runs {', '.join(LINE_SEARCH_METHODS)}, not "
+                         f"{method!r}; misell_iterate runs MISELL")
 
     z = np.array(z0, dtype=complex)
     truth_norm = None

@@ -55,6 +55,10 @@ PROBLEM_DEFAULTS = {
 }
 _VONKARMAN = PROBLEM_DEFAULTS["vonkarman"]
 _SEGMENTED = PROBLEM_DEFAULTS["segmented"]
+# the config's defaults too: the benchmark plan (the pupil, then defocus -3
+# and +3 waves) and the discrepancy principle's safety factor
+DEFAULT_PLAN = DiversityPlan((-3.0, 3.0), True)
+DEFAULT_MOROZOV_TAU = 1.05
 
 # name -> (rule over the parameters, what it asks); a parameter without a
 # rule need only be finite
@@ -333,8 +337,9 @@ class MorozovResult:
     reached: bool
 
 
-def morozov_stop(f_values, noise_misfit_level: float, tau: float = 1.05,
-                 floor: float = 0.0) -> MorozovResult:
+def morozov_stop(f_values, noise_misfit_level: float,
+                 tau: float = DEFAULT_MOROZOV_TAU, floor: float = 0.0
+                 ) -> MorozovResult:
     """First index of ``f_values`` (a run's per-iteration misfits) at or
     below the discrepancy threshold.
 
@@ -374,8 +379,8 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
 
-def build_problem(ptype: str, n: int, seed: int = 0,
-                  defocus=(-3.0, 3.0), amplitude_plane: bool = True,
+def build_problem(ptype: str, n: int, seed: int = 0, defocus=DEFAULT_PLAN.defocus,
+                  amplitude_plane: bool = DEFAULT_PLAN.amplitude_plane,
                   **params) -> ProblemInstance:
     """Construct a pupil, ground-truth wavefront and its noiseless data.
 
@@ -386,17 +391,15 @@ def build_problem(ptype: str, n: int, seed: int = 0,
     """
     opts = _check_instance(ptype, params, seed)
 
-    if ptype == "zernike":
-        grid = annular_pupil(n, opts["r_inner"], opts["r_outer"])
-        phase = zernike_annular_phase(grid, opts["zernike_index"],
-                                      opts["zernike_coeff"])
-    elif ptype == "vonkarman":
-        grid = annular_pupil(n, opts["r_inner"], opts["r_outer"])
-        phase = von_karman_screen(grid, opts["r0"], opts["outer_scale"],
-                                  seed=seed, target_rms=opts["target_rms"])
-    else:
+    if ptype == "segmented":
         grid = segmented_pupil(n, opts["rings"], opts["gap_frac"],
                                opts["outer_radius"])
+    else:
+        grid = annular_pupil(n, opts["r_inner"], opts["r_outer"])
+    if ptype == "zernike":
+        phase = zernike_annular_phase(grid, opts["zernike_index"],
+                                      opts["zernike_coeff"])
+    else:
         phase = von_karman_screen(grid, opts["r0"], opts["outer_scale"],
                                   seed=seed, target_rms=opts["target_rms"])
 

@@ -50,6 +50,10 @@ RUNS = {
                           _BATCH + _MOROZOV + ["objective.model=MLP"], []),
     "solve_lsi": ("solve", "zernike16", _BATCH + ["objective.model=LSI"], []),
     "solve_ncg": ("solve", "zernike16", _BATCH + ["solver.method=NCG"], []),
+    # a tight curvature test: 2-6 search trials per step, so the search's
+    # cubic and bracketing branches reach the artifacts
+    "solve_ncg_c2_tight": ("solve", "zernike16",
+                           _BATCH + ["solver.method=NCG", "solver.c2=0.1"], []),
     "compare_methods": ("compare-methods", "zernike16", _BATCH, []),
     "compare_models": ("compare-models", "zernike16",
                        _BATCH + _MOROZOV + ["noise.snr=30", "noise.seed=3"], []),

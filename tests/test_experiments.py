@@ -285,11 +285,29 @@ class TestRunSolve:
         inst = build_instance(cfg)
         summary = exp.run_solve(cfg, inst, tmp_path / "out")
         assert len(summary["restarts"]) == 3
-        assert summary["restarts"][0]["stop_reason"].startswith("error:")
-        assert np.isnan(summary["restarts"][0]["final_rms"])
+        failed = summary["restarts"][0]
+        assert list(failed) == ["restart", "seed", "iterations", "fft_calls",
+                                "stop_reason", "final_f", "final_rms",
+                                "min_rms"]
+        assert failed["restart"] == 0 and failed["seed"] == cfg.solver.seed
+        assert failed["iterations"] == 0 and failed["fft_calls"] == 0
+        assert failed["stop_reason"] == "error: synthetic blow-up"
+        assert all(np.isnan(failed[key])
+                   for key in ("final_f", "final_rms", "min_rms"))
         assert summary["restarts"][1]["stop_reason"] != ""
         assert not (tmp_path / "out" / "trace_restart_00.csv").exists()
         assert (tmp_path / "out" / "trace_restart_01.csv").exists()
+
+    def test_tn_runs_just_above_the_smallest_epsilon(self, tmp_path):
+        # at eps = 1.3e-77, eps^4 is still a normal float, so the MLP
+        # Hessian coefficients of TN stay finite and no restart fails
+        cfg = small_config(**{"problem.n": 8, "restarts": 3,
+                              "solver.max_iters": 30, "solver.method": "TN",
+                              "objective.model": "MLP",
+                              "objective.epsilon": 1.3e-77})
+        summary = run_solve(cfg, build_instance(cfg), tmp_path / "out")
+        reasons = [row["stop_reason"] for row in summary["restarts"]]
+        assert not [r for r in reasons if r.startswith("error:")], reasons
 
     def test_noise_applied_to_clean_instance_at_solve_time(self, tmp_path):
         clean = build_instance(small_config())
@@ -726,6 +744,7 @@ class TestCli:
                                          "objective.epsilon=inf",
                                          "objective.epsilon=1e300",
                                          "objective.epsilon=1e-170",
+                                         "objective.epsilon=1e-78",
                                          "noise.snr=0", "noise.snr=-1",
                                          "solver.tn_cg_max=0",
                                          "solver.tn_cg_max=-1",

@@ -389,6 +389,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ObjectiveSpec("LS", 0.0, spec.plan, spec.data, spec.grid)
 
+    def test_epsilon_fourth_power_must_be_normal(self):
+        # eps^4 >= the smallest normal float: eps above about 1.22134e-77
+        spec, _ = make_spec("MLP")
+        ObjectiveSpec("MLP", 1.2214e-77, spec.plan, spec.data, spec.grid)
+        with pytest.raises(ValueError, match="objective.epsilon"):
+            ObjectiveSpec("MLP", 1.2213e-77, spec.plan, spec.data, spec.grid)
+
     def test_plane_count_mismatch(self):
         spec, _ = make_spec("LS")
         with pytest.raises(ValueError):

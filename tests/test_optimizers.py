@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,11 @@ TRIAL_SEQUENCES = {
 
 
 class TestWolfeLineSearch:
+    def test_defaults_are_the_solver_config_defaults(self):
+        params = inspect.signature(wolfe_line_search).parameters
+        for name in ("c1", "c2"):
+            assert params[name].default == getattr(SolverConfig(), name)
+
     def test_quadratic_exact_half_step(self):
         a = np.array([1.0 + 2.0j, -0.5])
         obj = shifted_quadratic(a)
@@ -280,7 +287,7 @@ class TestNcg:
             _, trace = solve(obj, SolverConfig(method=method), z0)
             gap = trace.f_values - floor
             hit = np.where(gap <= 1e-8 * gap[0])[0]
-            iters[method] = int(hit[0]) if hit.size else len(trace)
+            iters[method] = int(hit[0]) if hit.size else len(trace.records)
         assert iters["NCG"] < iters["SD"]
 
 
@@ -486,7 +493,7 @@ class TestSolverInfrastructure:
         _, trace = solve(shifted_quadratic(a),
                          SolverConfig(method=method, **settings), z0)
         assert trace.stop_reason == reason
-        assert len(trace) == records
+        assert len(trace.records) == records
 
     def test_reference_norm_once_per_solve_keeps_trace_bytes(
             self, monkeypatch, tmp_path, bench32):

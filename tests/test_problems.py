@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from phasediversity.experiments import ExperimentConfig
 from phasediversity.forward import PupilGrid
 from phasediversity.objectives import DataMisfit, MeasurementSet, ObjectiveSpec
 from phasediversity.optimizers import SolverConfig, solve
@@ -274,6 +275,10 @@ class TestPoissonNoise:
 
 
 class TestMorozov:
+    def test_default_tau_is_the_config_default(self):
+        tau = inspect.signature(morozov_stop).parameters["tau"].default
+        assert tau == ExperimentConfig().morozov_tau
+
     def test_first_crossing(self):
         res = morozov_stop([10.0, 5.0, 2.0, 1.0], 2.0, tau=1.05)
         assert res.index == 2
@@ -317,7 +322,7 @@ class TestMorozov:
             res = morozov_stop(trace.f_values, level, tau=1.05,
                                floor=objective_floor(spec))
             rms = trace.rms_values
-            interior = res.reached and 0 < res.index < len(trace) - 1
+            interior = res.reached and 0 < res.index < len(trace.records) - 1
             if (interior and res.index <= int(np.nanargmin(rms))
                     and rms[res.index] < rms[0]):
                 hits += 1
@@ -335,6 +340,12 @@ class TestProblemInstances:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             build_problem("airy", 32)
+
+    def test_plan_defaults_are_the_config_defaults(self):
+        params = inspect.signature(build_problem).parameters
+        config = ExperimentConfig()
+        for name in ("defocus", "amplitude_plane"):
+            assert params[name].default == getattr(config, name)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
