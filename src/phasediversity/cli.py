@@ -17,6 +17,7 @@ from pathlib import Path
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    config_errors,
     config_from_sources,
     run_analyze_hessian,
     run_compare_methods,
@@ -73,13 +74,6 @@ def _resolve_out(args, config: ExperimentConfig) -> Path:
     return Path("phasediversity-out")
 
 
-def _load_instance(args):
-    try:
-        return load_instance(args.instance)
-    except ValueError as exc:
-        raise ConfigError(f"cannot load instance {args.instance}: {exc}") from exc
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -89,7 +83,8 @@ def main(argv=None) -> int:
             simulate(config, out)
             print(f"instance written to {out}")
             return 0
-        instance = _load_instance(args)
+        with config_errors(f"cannot load instance {args.instance}: "):
+            instance = load_instance(args.instance)
         if args.command == "solve":
             summary = run_solve(config, instance, out)
             agg = summary["aggregates"]

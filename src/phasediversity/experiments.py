@@ -23,6 +23,7 @@ JSON) so artifacts are self-describing.  Restart seeds are
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -67,6 +68,7 @@ from .problems import (
 
 __all__ = [
     "ConfigError",
+    "config_errors",
     "ExperimentConfig",
     "config_from_sources",
     "initial_guess",
@@ -77,15 +79,23 @@ __all__ = [
     "run_compare_models",
     "run_analyze_hessian",
     "iterations_to_rms",
-    "COMPARE_METHODS",
 ]
 
-COMPARE_METHODS = LINE_SEARCH_METHODS
 _RMS_TARGET = 1e-3  # compare-models counts iterations to reach this RMS
 
 
 class ConfigError(ValueError):
     """Invalid configuration key or value; maps to CLI exit code 2."""
+
+
+@contextmanager
+def config_errors(prefix: str = ""):
+    """Turn a ValueError raised in the block into a ConfigError whose message
+    is ``prefix`` and the original's, chained from it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _upper(text: str) -> str:
@@ -121,11 +131,9 @@ class ExperimentConfig:
     given: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
-        try:
+        with config_errors():
             _check_instance(self.problem_type, self.problem_params,
                             self.problem_seed, self.snr, self.noise_seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.model not in MODELS:
             raise ConfigError(f"objective.model must be one of {MODELS}, "
                               f"got {self.model!r}")
@@ -202,21 +210,17 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             parts[owner][name] = parse(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    try:
+    with config_errors():
         return ExperimentConfig(problem_params=parts["params"],
                                 solver=SolverConfig(**parts["solver"]),
                                 given=frozenset(mapping), **parts[""])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def config_from_sources(path=None, overrides=()) -> ExperimentConfig:
     """Build a config from an optional file, read as ``config.txt`` is,
     plus --set style overrides."""
-    try:
+    with config_errors():
         mapping = {} if path is None else read_key_values(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
@@ -237,13 +241,11 @@ def initial_guess(mask: np.ndarray, seed: int) -> np.ndarray:
 
 
 def build_instance(config: ExperimentConfig) -> ProblemInstance:
-    try:
+    with config_errors():
         return reconcile_noise(config, build_problem(
             config.problem_type, config.n, seed=config.problem_seed,
             defocus=config.defocus, amplitude_plane=config.amplitude_plane,
             **config.problem_params))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _objective_spec(config: ExperimentConfig,
@@ -260,10 +262,8 @@ def reconcile_noise(config: ExperimentConfig,
     meta); ``_prepare`` checks that the config agrees with the instance."""
     if config.snr is None or "noise.snr" in instance.meta:
         return instance
-    try:
+    with config_errors(f"noise.snr = {config.snr}: "):
         data = add_poisson_noise(instance.data, config.snr, config.noise_seed)
-    except ValueError as exc:
-        raise ConfigError(f"noise.snr = {config.snr}: {exc}") from exc
     return replace(instance, data=data,
                    meta={**instance.meta, "noise.snr": float(config.snr),
                          "noise.seed": int(config.noise_seed)})
@@ -282,11 +282,9 @@ def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     ``plan.*`` and ``noise.*`` keys from the instance; any of them the
     config sets must agree.
     """
-    try:
+    with config_errors():
         instance = reconcile_noise(config, instance)
         _objective_spec(config, instance)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     wants = config.to_flat()
     own = {k: str(v) for k, v in wants.items() if not k.startswith(_INSTANCE)}
     meta = {k: str(v) for k, v in instance.meta.items()
@@ -379,15 +377,16 @@ def _write_json(path, payload) -> None:
 
 def _restarts(config: ExperimentConfig, instance: ProblemInstance):
     """``(trace, row)`` of every restart of the batch.  A failure inside one
-    restart is recorded on its row as ``(None, row)`` and does not abort
-    the batch; ``_prepare`` raises every config error before the first one."""
+    restart gives an empty trace whose stop reason records it, and does not
+    abort the batch; ``_prepare`` raises every config error before the
+    first restart."""
     results = []
     for i in range(config.restarts):
         try:
             results.append(run_single(config, instance, i))
         except Exception as exc:  # noqa: BLE001 - isolate restart failures
             failed = RunTrace(stop_reason=f"error: {exc}")
-            results.append((None, _restart_row(i, config.solver.seed + i, failed)))
+            results.append((failed, _restart_row(i, config.solver.seed + i, failed)))
     return results
 
 
@@ -402,10 +401,11 @@ def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     instance, out, flat = _prepare(config, instance, out_dir)
     results = _restarts(config, instance)
     for trace, row in results:
-        if trace is not None:
+        if trace.records:
             i = row["restart"]
             header = {**flat, "restart": i, "seed": row["seed"],
-                      "method": trace.method, "stop_reason": trace.stop_reason}
+                      "method": config.solver.method,
+                      "stop_reason": trace.stop_reason}
             trace.to_csv(out / f"trace_restart_{i:02d}.csv", header=header)
     rows = [row for _, row in results]
     summary = {"config": flat, "restarts": rows,
@@ -423,7 +423,7 @@ def run_compare_methods(config: ExperimentConfig, instance: ProblemInstance,
     """
     instance, out, flat = _prepare(config, instance, out_dir)
     table = []
-    for method in COMPARE_METHODS:
+    for method in LINE_SEARCH_METHODS:
         batch = replace(config, solver=replace(config.solver, method=method))
         rows = [row for _, row in _restarts(batch, instance)]
         table.append({"method": method, **_aggregates(rows, config.success_rms),
@@ -472,9 +472,6 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
         results = _restarts(replace(config, model=model), instance)
         reached = []
         for trace, row in results:
-            if trace is None:
-                reached.append(None)
-                continue
             for rec in trace.records:
                 series_lines.append(f"{model},{row['restart']},{rec.iteration},"
                                     f"{rec.rms:.17g},{rec.f_value:.17g}")
@@ -501,7 +498,7 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
     A bad point or an instance too large for the dense plane matrices is a
     ConfigError, with the reader's or the size limit's own message, raised
     before the output directory exists."""
-    try:
+    with config_errors():
         if point == "truth":
             u = instance.truth
         elif point == "random":
@@ -509,8 +506,6 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
         else:
             u = load_field(point, instance.grid.mask.shape)
         matrices = [plane_matrix(plane, instance.grid) for plane in instance.plan]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     instance, out, flat = _prepare(config, instance, out_dir)
     planes = []
     data = instance.data

@@ -138,7 +138,6 @@ TRACE_COLUMNS = ("iter", "f", "grad_norm", "alpha", "rms", "fft_calls",
 class RunTrace:
     """Per-iteration history of one solver run."""
 
-    method: str = ""
     records: list = field(default_factory=list)
     stop_reason: str = ""
 
@@ -384,7 +383,7 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
     if truth is not None:
         truth = np.asarray(truth, dtype=complex)
         truth_norm = _norm(truth)
-    trace = RunTrace(method=method)
+    trace = RunTrace()
     f, g = obj.value_and_gradient(z)
     memory = LbfgsMemory(config.lbfgs_memory)
     cg_max = config.tn_cg_max if config.tn_cg_max is not None else 2 * z.size
@@ -476,7 +475,7 @@ def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
     if len(planes) < 2:
         raise ValueError("the projection baseline needs at least two defocus planes")
     u = np.array(u0, dtype=complex)
-    trace = RunTrace(method="MISELL")
+    trace = RunTrace()
     trace.append(TraceRecord(0, modulus_residual(u, plan, data, grid),
                              float("nan"), float("nan"), _rms_or_nan(truth, u),
                              len(planes), False))

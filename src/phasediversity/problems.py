@@ -440,13 +440,19 @@ def save_instance(instance: ProblemInstance, path) -> None:
         file.unlink()
 
 
+# the plan.* and noise.* keys an instance's config.txt may hold
+_PLAN_NOISE_KEYS = ("plan.defocus", "plan.amplitude_plane", "noise.snr",
+                    "noise.seed")
+
+
 def load_instance(path) -> ProblemInstance:
     """Read a :func:`save_instance` directory.  A ValueError names the file
-    at fault: a ``config.txt`` without a key that :func:`save_instance` writes
-    or with a bad ``problem.*``, ``noise.*`` or plan value (parsed as the
-    config parses it and checked by the config's rules), a truth or plane
-    file not a finite n x n grid (a plane also >= 0), or a ``plane_*.csv``
-    the plan does not name."""
+    at fault: a ``config.txt`` without a key that :func:`save_instance` writes,
+    with a ``problem.*``, ``plan.*`` or ``noise.*`` key it never writes, or
+    with a bad value (parsed as the config parses it and checked by the
+    config's rules), a truth or plane file not a finite n x n grid (a plane
+    also >= 0), a truth without a pupil pixel (|value| > 0.5), or a
+    ``plane_*.csv`` the plan does not name."""
     path = Path(path)
     config = path / "config.txt"
     meta = read_key_values(config)
@@ -462,11 +468,18 @@ def load_instance(path) -> ProblemInstance:
     ptype = value("problem.type")
     n = value("problem.n", int)
     seed = value("problem.seed", int)
-    # an unknown type has no parameters to read; the check names it
+    # an unknown type has no parameters to read; the check names it, and
+    # any parameter the type does not take
     params = {name: value(f"problem.{name}", type(default))
               for name, default in PROBLEM_DEFAULTS.get(ptype, {}).items()}
+    params.update({key[8:]: meta[key] for key in meta
+                   if key.startswith("problem.") and key[8:] not in params
+                   and key not in ("problem.type", "problem.n", "problem.seed")})
+    for key in meta:
+        if key.startswith(("plan.", "noise.")) and key not in _PLAN_NOISE_KEYS:
+            raise ValueError(f"{config}: unknown key {key!r}")
     noise = ((value("noise.snr", float), value("noise.seed", int))
-             if "noise.snr" in meta else ())
+             if "noise.snr" in meta or "noise.seed" in meta else ())
     try:
         _check_instance(ptype, params, seed, *noise)
     except ValueError as exc:
@@ -476,6 +489,9 @@ def load_instance(path) -> ProblemInstance:
                  lambda text: DiversityPlan(parse_floats(text), amplitude_plane))
     truth = load_field(path / "truth.npy", (n, n))
     grid = PupilGrid(n, np.abs(truth) > 0.5)
+    if not grid.mask.any():
+        raise ValueError(f"{path / 'truth.npy'} has no pupil pixel "
+                         f"(no entry with |value| > 0.5)")
     planes, stray = _plane_files(path, len(plan))
     if stray:
         raise ValueError(f"{stray[0]} is not one of the {len(plan)} planes "

@@ -10,12 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from phasediversity.cli import main
 from phasediversity.experiments import (
-    COMPARE_METHODS,
     _write_json,
     ConfigError,
     build_instance,
@@ -30,9 +29,9 @@ from phasediversity.experiments import (
     run_solve,
     simulate,
 )
-from phasediversity.fields import field_from_csv
+from phasediversity.fields import field_from_csv, save_field
 from phasediversity.objectives import DataMisfit, ObjectiveSpec
-from phasediversity.optimizers import RunTrace
+from phasediversity.optimizers import LINE_SEARCH_METHODS, RunTrace
 from phasediversity.problems import load_instance
 
 from conftest import read_trace
@@ -346,7 +345,7 @@ class TestCompareRunners:
         cfg = small_config(restarts=1, **{"solver.max_iters": 10})
         inst = build_instance(cfg)
         payload = run_compare_methods(cfg, inst, tmp_path / "cmp")
-        assert [e["method"] for e in payload["methods"]] == list(COMPARE_METHODS)
+        assert [e["method"] for e in payload["methods"]] == list(LINE_SEARCH_METHODS)
         assert set(payload["fft_orderings"]) == {"lbfgs_lt_ncg", "ncg_lt_sd",
                                                  "lbfgs_lt_tn"}
         lines = [ln for ln in
@@ -443,6 +442,11 @@ class TestCompareRunners:
                 else:
                     assert not row["stop_reason"].startswith("error:")
                     assert row["fft_calls"] > 0
+            if key == "models":
+                reached = entry["iterations_to_target"]
+                assert len(reached) == 2
+                assert name != bad or reached[1] is None
+                assert entry["n_reached"] == sum(r is not None for r in reached)
 
     def test_failed_restarts_left_out_of_cost_means(self, tmp_path,
                                                      monkeypatch):
@@ -1061,14 +1065,16 @@ class TestArtifactFormat:
 
 
 def _edit_config(inst, key, value=None):
-    """Replace ``key``'s value in ``inst``/config.txt, or drop its line when
-    ``value`` is None."""
+    """Replace ``key``'s value in ``inst``/config.txt, append the key if the
+    file lacks it, or drop its line when ``value`` is None."""
     config = inst / "config.txt"
     lines = config.read_text().splitlines(keepends=True)
-    assert any(ln.startswith(f"{key} = ") for ln in lines)
+    line = "" if value is None else f"{key} = {value}\n"
+    if not any(ln.startswith(f"{key} = ") for ln in lines):
+        assert value is not None
+        lines.append(line)
     config.write_text("".join(
-        ln if not ln.startswith(f"{key} = ")
-        else "" if value is None else f"{key} = {value}\n" for ln in lines))
+        line if ln.startswith(f"{key} = ") else ln for ln in lines))
 
 
 def _edit_plane_cell(plane, row, col, cell):
@@ -1086,7 +1092,7 @@ _INPUT_DEFECTS = {
     "--config": ["missing", "directory", "no-equals"],
     "config.txt": ["missing", "directory", "no-equals", "bad-n"],
     "plane_01.csv": ["missing", "directory", "empty", "x-cell"],
-    "truth.npy": ["missing", "directory", "empty", "half"],
+    "truth.npy": ["missing", "directory", "empty", "half", "dark"],
     "--point": ["missing", "directory", "empty", "half"],
 }
 
@@ -1112,10 +1118,14 @@ class TestInputFiles:
         ([], ("problem.seed", "-1"), "problem.seed"),
         ([], ("plane", "nan"), "plane_01.csv"),
         ([], ("plane", "-1"), "plane_01.csv"),
+        ([], ("problem.bogus", "1"), "bogus"),
+        ([], ("plan.extra", "1"), "plan.extra"),
+        ([], ("noise.seed", "4"), "noise.snr"),
     ], ids=["no-seed", "no-r0", "no-type", "bad-type", "bad-n", "bad-defocus",
             "nan-defocus", "no-noise-seed", "bad-noise-seed",
             "negative-noise-seed", "negative-snr", "negative-seed",
-            "plane-nan", "plane-negative"])
+            "plane-nan", "plane-negative", "extra-problem-key",
+            "extra-plan-key", "seed-without-snr"])
     def test_instance_must_state_its_keys(self, tmp_path, capsys, sets, edit,
                                           named):
         # a vonkarman instance simulated with a non-default seed: a missing
@@ -1194,6 +1204,7 @@ class TestInputFiles:
     @given(case=st.sampled_from([(file, defect) for file, defects
                                  in _INPUT_DEFECTS.items() for defect in defects]),
            cell=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+    @example(case=("truth.npy", "dark"), cell=(0, 0))
     def test_defective_input_file_named_once(self, instance, case, cell):
         file, defect = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -1220,6 +1231,8 @@ class TestInputFiles:
                     fh.write("solver.max_iters 1\n")
             elif defect == "bad-n":
                 _edit_config(inst, "problem.n", "x")
+            elif defect == "dark":
+                save_field(path, np.zeros((8, 8), complex))
             else:
                 _edit_plane_cell(path, *cell, "x")
             out = tmp / "run"

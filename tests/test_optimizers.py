@@ -565,7 +565,7 @@ class TestSolverInfrastructure:
         assert all(b >= a for a, b in zip(calls, calls[1:]))
 
     def test_trace_csv_roundtrip(self, tmp_path):
-        trace = RunTrace(method="SD", stop_reason="max_iters")
+        trace = RunTrace(stop_reason="max_iters")
         trace.append(TraceRecord(0, 1.5, 2.5, float("nan"), 0.9, 4, False))
         trace.append(TraceRecord(1, 0.5, 1.25, 0.125, 0.8, 8, True))
         path = tmp_path / "trace.csv"
@@ -579,7 +579,7 @@ class TestSolverInfrastructure:
     def test_trace_csv_bytes_locked(self, tmp_path):
         # exact cells for signed zero, NaN, the float extremes, both flag
         # values and the integer columns, and an exact read back
-        trace = RunTrace(method="TN", stop_reason="tol_fun")
+        trace = RunTrace(stop_reason="tol_fun")
         trace.append(TraceRecord(0, -0.0, 1e300, float("nan"), 5e-324, 0, False))
         trace.append(TraceRecord(12, 0.1, 5e-324, -0.0, 1e300, 123456789, True))
         path = tmp_path / "t.csv"
@@ -602,7 +602,7 @@ class TestSolverInfrastructure:
 
     def test_trace_header_values_verbatim(self, tmp_path):
         # a '#' or '=' inside a header value is data, not a comment
-        trace = RunTrace(method="LBFGS", stop_reason="tol_fun")
+        trace = RunTrace(stop_reason="tol_fun")
         trace.append(TraceRecord(0, 1.0, 1.0, float("nan"), 0.5, 2, False))
         header = {"output_dir": "runs/#1", "note": "a = b", "noise.snr": "none",
                   "method": "LBFGS", "stop_reason": "tol_fun"}
@@ -612,7 +612,7 @@ class TestSolverInfrastructure:
 
     def test_failed_trace_rewrite_keeps_old_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        trace = RunTrace(method="SD")
+        trace = RunTrace()
         trace.append(TraceRecord(0, 1.0, 1.0, float("nan"), 0.5, 2, False))
         trace.to_csv(path, header={"k": "v"})
         first = path.read_bytes()
