@@ -14,10 +14,9 @@ keys.  The ordered key table ``_KEYS`` (flat key -> attribute, parser)
 drives both parsing and :meth:`ExperimentConfig.to_flat`;
 ``problem.<name>`` parameters take the types of ``PROBLEM_DEFAULTS``,
 and an unset value is written ``none``.
-Every output file embeds the fully resolved configuration (as
-``# key = value`` comment lines in CSVs, under a ``config`` entry in
-JSON) so artifacts are self-describing.  Restart seeds are
-``solver.seed + restart_index``.
+Every output file embeds the fully resolved configuration (a CSV in its
+header, a JSON under ``config``), so artifacts are self-describing.
+Restart seeds are ``solver.seed + restart_index``.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (atomic_open, format_floats, key_value_lines,
-                     load_field, parse_bool, parse_floats, read_key_values)
+from .fields import (atomic_open, format_floats, load_field, parse_bool,
+                     parse_floats, read_key_values, write_csv)
 from .forward import diversity_forward
 from .hessian import (
     clustering_comparison,
@@ -50,6 +49,7 @@ from .optimizers import (
     LINE_SEARCH_METHODS,
     RunTrace,
     SolverConfig,
+    _defocus_amplitudes,
     misell_iterate,
     modulus_residual,
     solve,
@@ -278,17 +278,16 @@ def _prepare(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     noise added, the created output directory and the config to embed.
 
     A bad value (noise, epsilon) is a ConfigError raised before the output
-    directory exists.  The embedded config takes its ``problem.*``,
-    ``plan.*`` and ``noise.*`` keys from the instance; any of them the
-    config sets must agree.
+    directory exists.  The embedded config takes the instance's meta, its
+    ``problem.*``, ``plan.*`` and ``noise.*`` keys; any of them the config
+    sets must agree.
     """
     with config_errors():
         instance = reconcile_noise(config, instance)
         _objective_spec(config, instance)
     wants = config.to_flat()
     own = {k: str(v) for k, v in wants.items() if not k.startswith(_INSTANCE)}
-    meta = {k: str(v) for k, v in instance.meta.items()
-            if k.startswith(_INSTANCE)}
+    meta = {k: str(v) for k, v in instance.meta.items()}
     flat = config_from_mapping({**own, **meta}).to_flat()
     for key in sorted(config.given):
         if key.startswith(_INSTANCE) and flat.get(key) != wants[key]:
@@ -396,17 +395,17 @@ def run_solve(config: ExperimentConfig, instance: ProblemInstance, out_dir):
     A failure inside one restart is recorded on its summary row and does
     not abort the batch.  MISELL needs two defocus planes.
     """
-    if config.solver.method == "MISELL" and len(instance.plan.defocus) < 2:
-        raise ConfigError("the projection baseline needs at least two defocus planes")
+    if config.solver.method == "MISELL":
+        with config_errors():
+            _defocus_amplitudes(instance.plan, instance.data)
     instance, out, flat = _prepare(config, instance, out_dir)
     results = _restarts(config, instance)
     for trace, row in results:
         if trace.records:
-            i = row["restart"]
-            header = {**flat, "restart": i, "seed": row["seed"],
+            header = {**flat, "restart": row["restart"], "seed": row["seed"],
                       "method": config.solver.method,
                       "stop_reason": trace.stop_reason}
-            trace.to_csv(out / f"trace_restart_{i:02d}.csv", header=header)
+            trace.to_csv(out / f"trace_restart_{row['restart']:02d}.csv", header)
     rows = [row for _, row in results]
     summary = {"config": flat, "restarts": rows,
                "aggregates": _aggregates(rows, config.success_rms)}
@@ -434,12 +433,9 @@ def run_compare_methods(config: ExperimentConfig, instance: ProblemInstance,
         "ncg_lt_sd": fft["NCG"] < fft["SD"],
         "lbfgs_lt_tn": fft["LBFGS"] < fft["TN"],
     }
-    with atomic_open(out / "compare_methods.csv") as fh:
-        fh.write(key_value_lines(flat, "# "))
-        fh.write("method,mean_fft_calls,mean_iterations,success_rate\n")
-        for e in table:
-            fh.write(f"{e['method']},{e['mean_fft_calls']:.17g},"
-                     f"{e['mean_iterations']:.17g},{e['success_rate']:.17g}\n")
+    columns = ("method", "mean_fft_calls", "mean_iterations", "success_rate")
+    write_csv(out / "compare_methods.csv", [[e[c] for c in columns] for e in table],
+              flat, columns)
     payload = {"config": flat, "methods": table,
                "fft_orderings": orderings}
     _write_json(out / "compare_methods.json", payload)
@@ -466,25 +462,20 @@ def run_compare_models(config: ExperimentConfig, instance: ProblemInstance,
         raise ConfigError("compare-models compares misfit models; "
                           "solver.method MISELL fits none")
     instance, out, flat = _prepare(config, instance, out_dir)
-    series_lines = []
+    series = []
     per_model = {}
     for model in MODELS:
         results = _restarts(replace(config, model=model), instance)
-        reached = []
-        for trace, row in results:
-            for rec in trace.records:
-                series_lines.append(f"{model},{row['restart']},{rec.iteration},"
-                                    f"{rec.rms:.17g},{rec.f_value:.17g}")
-            reached.append(iterations_to_rms(trace, _RMS_TARGET))
+        series += [(model, row["restart"], rec.iteration, rec.rms, rec.f_value)
+                   for trace, row in results for rec in trace.records]
+        reached = [iterations_to_rms(trace, _RMS_TARGET) for trace, _ in results]
         per_model[model] = {
             "iterations_to_target": reached,
             "n_reached": sum(1 for r in reached if r is not None),
             "restarts": [row for _, row in results],
         }
-    with atomic_open(out / "compare_models.csv") as fh:
-        fh.write(key_value_lines(flat, "# "))
-        fh.write("model,restart,iter,rms,f\n")
-        fh.writelines(f"{line}\n" for line in series_lines)
+    write_csv(out / "compare_models.csv", series, flat,
+              ("model", "restart", "iter", "rms", "f"))
     payload = {"config": flat, "rms_target": _RMS_TARGET,
                "models": per_model}
     _write_json(out / "compare_models.json", payload)

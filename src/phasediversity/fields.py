@@ -8,10 +8,11 @@ grid behave identically.
 The module also owns the on-disk formats and reads every input file:
 ``key = value`` text (:func:`key_value_lines` / :func:`read_key_values`,
 with :func:`parse_bool`, :func:`parse_floats` and :func:`format_floats`)
-for ``config.txt``, ``--config`` files and every CSV's header, and fields
-as real-valued CSV or complex ``.npy``, written by :func:`atomic_open` and
-read with the shape they must have by :func:`field_from_csv` or
-:func:`load_field`.  Each reader names a file it rejects once.
+for ``config.txt`` and ``--config`` files, the CSV table of every CSV
+artifact (:func:`write_csv`) and complex fields as ``.npy``, all written
+by :func:`atomic_open`; a field is read with the shape it must have by
+:func:`field_from_csv` or :func:`load_field`.  Each reader names a file it
+rejects once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "format_floats",
     "save_field",
     "load_field",
-    "field_to_csv",
+    "write_csv",
     "field_from_csv",
 ]
 
@@ -154,18 +155,20 @@ def read_key_values(path) -> dict:
     """The ``key = value`` lines of the text file ``path`` as a dict of
     stripped, otherwise verbatim strings, each line first cut at a ``#``
     that starts it or follows whitespace (``output_dir = runs/#1`` keeps its
-    ``#``).  A file that cannot be read, or a line lacking a key and an
-    ``=``, is a ValueError naming ``path`` (and the line number)."""
+    ``#``).  A file that cannot be read, a line lacking a key and an ``=``,
+    or a key stated twice is a ValueError naming ``path`` and the line."""
     mapping: dict = {}
     with _reading(path) as fh:
         for ln, raw in enumerate(fh.read().splitlines(), start=1):
             line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip():
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep or not key:
                 raise ValueError(f"line {ln}: expected 'key = value', got {line!r}")
-            mapping[key.strip()] = value.strip()
+            if key in mapping:
+                raise ValueError(f"line {ln}: repeated key {key!r}")
+            mapping[key] = value
     return mapping
 
 
@@ -210,26 +213,32 @@ def load_field(path, shape) -> np.ndarray:
     return arr
 
 
-def field_to_csv(path, arr: np.ndarray, header: dict | None = None) -> None:
-    """Write a real-valued field as CSV, one line per grid row.
-
-    Optional ``header`` entries are emitted as leading '# key = value'
-    comment lines, which :func:`field_from_csv` skips.  The rows are the
-    bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes, formatted in
-    one pass and written with the header in one call.
-    """
-    rows = np.atleast_2d(arr)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    # one row's floats at a time, and no second copy of the text
-    text = "".join([key_value_lines(header or {}, "# ")]
-                   + [line % tuple(row.tolist()) for row in rows])
+def write_csv(path, rows, header: dict | None = None, columns=()) -> None:
+    """Write the CSV table: ``header`` as ``# key = value`` lines, ``columns``
+    as one line if given, then each row in one ``%`` call with the first
+    row's cell formats, a str as it is and a number (int, bool) ``%.17g``.
+    An array's rows are written as ``np.savetxt(fmt="%.17g", delimiter=",")``
+    does, a 1-D array as one row.  A cell that does not fit its format is a
+    ValueError, and ``path`` keeps its old contents."""
+    array = isinstance(rows, np.ndarray)
+    rows = np.atleast_2d(rows) if array else rows
+    text = [key_value_lines(header or {}, "# "),
+            ",".join(columns) + "\n" if columns else ""]
+    if len(rows):
+        line = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                        for cell in rows[0]) + "\n"
+        try:
+            # one row's floats at a time: a whole plane's would raise peak memory
+            text += [line % tuple(row.tolist() if array else row) for row in rows]
+        except TypeError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
     with atomic_open(path) as fh:
-        fh.write(text)
+        fh.write("".join(text))
 
 
 def field_from_csv(path, shape) -> np.ndarray:
     """The float field of ``shape``, non-finite cells included, that
-    :func:`field_to_csv` wrote; any other file is a ValueError naming it."""
+    :func:`write_csv` wrote; any other file is a ValueError naming it."""
     with _reading(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty input, raised below
         arr = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)

@@ -22,7 +22,7 @@ body and differ only in the search direction; a failed search retries
 once along -g, unless the failed direction already equals -g.
 :func:`misell_iterate` runs the Misell alternating-projection baseline.
 Every run records one :class:`TraceRecord` per iteration in a
-:class:`RunTrace`, whose CSV writes every cell as ``.17g``.
+:class:`RunTrace`, written as CSV by ``fields.write_csv``.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import (
-    aligned_rms,
-    atomic_open,
-    blocked_vdot,
-    key_value_lines,
-)
+from .fields import aligned_rms, blocked_vdot, write_csv
 from .forward import (
     DiversityPlan,
     PupilGrid,
@@ -127,9 +122,7 @@ class TraceRecord(NamedTuple):
     negative_curvature: bool
 
 
-# The trace's CSV columns, in TraceRecord field order; every cell is
-# written ".17g", which gives an int or bool the same text as "d".  A new
-# column is one name here plus one field above.
+# one CSV column per TraceRecord field, in order; a new column adds both
 TRACE_COLUMNS = ("iter", "f", "grad_norm", "alpha", "rms", "fft_calls",
                  "neg_curv")
 
@@ -161,12 +154,8 @@ class RunTrace:
         return self.records[-1].iteration if self.records else 0
 
     def to_csv(self, path, header: dict) -> None:
-        """Write the trace; header entries become '# key = value' lines."""
-        with atomic_open(path) as fh:
-            fh.write(key_value_lines(header, "# "))
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for r in self.records:
-                fh.write(",".join(format(value, ".17g") for value in r) + "\n")
+        """Write the records as a ``fields.write_csv`` table of TRACE_COLUMNS."""
+        write_csv(path, self.records, header, TRACE_COLUMNS)
 
 
 class LineSearchError(RuntimeError):
@@ -442,8 +431,12 @@ def solve(obj, config: SolverConfig, z0: np.ndarray,
 
 
 def _defocus_amplitudes(plan: DiversityPlan, data: MeasurementSet):
-    """(defocus, measured amplitude) of the planes after the pupil plane."""
-    return list(zip(plan.defocus, data.amplitudes[plan.amplitude_plane:]))
+    """(defocus, measured amplitude) of the planes after the pupil plane;
+    fewer than two is a ValueError, as Misell's projections need two."""
+    planes = list(zip(plan.defocus, data.amplitudes[plan.amplitude_plane:]))
+    if len(planes) < 2:
+        raise ValueError("the projection baseline needs at least two defocus planes")
+    return planes
 
 
 def modulus_residual(u: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
@@ -472,8 +465,6 @@ def misell_iterate(u0: np.ndarray, plan: DiversityPlan, data: MeasurementSet,
     is an object-domain constraint, left to the misfit solvers.
     """
     planes = _defocus_amplitudes(plan, data)
-    if len(planes) < 2:
-        raise ValueError("the projection baseline needs at least two defocus planes")
     u = np.array(u0, dtype=complex)
     trace = RunTrace()
     trace.append(TraceRecord(0, modulus_residual(u, plan, data, grid),

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (atomic_open, field_from_csv, field_to_csv, format_floats,
+from .fields import (atomic_open, field_from_csv, format_floats,
                      key_value_lines, load_field, parse_bool, parse_floats,
-                     read_key_values, save_field)
+                     read_key_values, save_field, write_csv)
 from .forward import DiversityPlan, PupilGrid, diversity_forward
 from .objectives import MeasurementSet
 
@@ -435,24 +435,18 @@ def save_instance(instance: ProblemInstance, path) -> None:
     save_field(path / "truth.npy", instance.truth)
     planes, stale = _plane_files(path, len(instance.plan))
     for file, intensity in zip(planes, instance.data.intensities):
-        field_to_csv(file, intensity, header=instance.meta)
+        write_csv(file, intensity, header=instance.meta)
     for file in stale:
         file.unlink()
 
 
-# the plan.* and noise.* keys an instance's config.txt may hold
-_PLAN_NOISE_KEYS = ("plan.defocus", "plan.amplitude_plane", "noise.snr",
-                    "noise.seed")
-
-
 def load_instance(path) -> ProblemInstance:
     """Read a :func:`save_instance` directory.  A ValueError names the file
-    at fault: a ``config.txt`` without a key that :func:`save_instance` writes,
-    with a ``problem.*``, ``plan.*`` or ``noise.*`` key it never writes, or
-    with a bad value (parsed as the config parses it and checked by the
-    config's rules), a truth or plane file not a finite n x n grid (a plane
-    also >= 0), a truth without a pupil pixel (|value| > 0.5), or a
-    ``plane_*.csv`` the plan does not name."""
+    at fault: a ``config.txt`` that lacks a key :func:`save_instance` writes
+    for the instance's type, holds any other key, or has a bad value (parsed
+    and checked as the config is), a truth or plane file not a finite n x n
+    grid (a plane also >= 0), a truth without a pupil pixel (|value| > 0.5),
+    or a ``plane_*.csv`` the plan does not name."""
     path = Path(path)
     config = path / "config.txt"
     meta = read_key_values(config)
@@ -468,22 +462,22 @@ def load_instance(path) -> ProblemInstance:
     ptype = value("problem.type")
     n = value("problem.n", int)
     seed = value("problem.seed", int)
-    # an unknown type has no parameters to read; the check names it, and
-    # any parameter the type does not take
+    # an unknown type has no parameters to read; the check names it first
     params = {name: value(f"problem.{name}", type(default))
               for name, default in PROBLEM_DEFAULTS.get(ptype, {}).items()}
-    params.update({key[8:]: meta[key] for key in meta
-                   if key.startswith("problem.") and key[8:] not in params
-                   and key not in ("problem.type", "problem.n", "problem.seed")})
-    for key in meta:
-        if key.startswith(("plan.", "noise.")) and key not in _PLAN_NOISE_KEYS:
-            raise ValueError(f"{config}: unknown key {key!r}")
     noise = ((value("noise.snr", float), value("noise.seed", int))
              if "noise.snr" in meta or "noise.seed" in meta else ())
     try:
         _check_instance(ptype, params, seed, *noise)
     except ValueError as exc:
         raise ValueError(f"{config}: {exc}") from exc
+    # the keys save_instance writes for this type, the noise keys as a pair
+    known = {"problem.type", "problem.n", "problem.seed", "plan.defocus",
+             "plan.amplitude_plane", "noise.snr", "noise.seed",
+             *(f"problem.{name}" for name in params)}
+    unknown = [key for key in meta if key not in known]
+    if unknown:
+        raise ValueError(f"{config}: unknown key {unknown[0]!r}")
     amplitude_plane = value("plan.amplitude_plane", parse_bool)
     plan = value("plan.defocus",
                  lambda text: DiversityPlan(parse_floats(text), amplitude_plane))

@@ -1089,8 +1089,8 @@ def _edit_plane_cell(plane, row, col, cell):
 
 # each file the CLI reads, and the defects a test puts in it
 _INPUT_DEFECTS = {
-    "--config": ["missing", "directory", "no-equals"],
-    "config.txt": ["missing", "directory", "no-equals", "bad-n"],
+    "--config": ["missing", "directory", "no-equals", "repeated-key"],
+    "config.txt": ["missing", "directory", "no-equals", "repeated-key", "bad-n"],
     "plane_01.csv": ["missing", "directory", "empty", "x-cell"],
     "truth.npy": ["missing", "directory", "empty", "half", "dark"],
     "--point": ["missing", "directory", "empty", "half"],
@@ -1121,11 +1121,15 @@ class TestInputFiles:
         ([], ("problem.bogus", "1"), "bogus"),
         ([], ("plan.extra", "1"), "plan.extra"),
         ([], ("noise.seed", "4"), "noise.snr"),
+        ([], ("solver.method", "TN"), "solver.method"),
+        ([], ("restarts", "7"), "restarts"),
+        ([], ("output_dir", "x"), "output_dir"),
     ], ids=["no-seed", "no-r0", "no-type", "bad-type", "bad-n", "bad-defocus",
             "nan-defocus", "no-noise-seed", "bad-noise-seed",
             "negative-noise-seed", "negative-snr", "negative-seed",
             "plane-nan", "plane-negative", "extra-problem-key",
-            "extra-plan-key", "seed-without-snr"])
+            "extra-plan-key", "seed-without-snr", "extra-solver-key",
+            "extra-restarts-key", "extra-output-dir-key"])
     def test_instance_must_state_its_keys(self, tmp_path, capsys, sets, edit,
                                           named):
         # a vonkarman instance simulated with a non-default seed: a missing
@@ -1205,6 +1209,8 @@ class TestInputFiles:
                                  in _INPUT_DEFECTS.items() for defect in defects]),
            cell=st.tuples(st.integers(0, 7), st.integers(0, 7)))
     @example(case=("truth.npy", "dark"), cell=(0, 0))
+    @example(case=("--config", "repeated-key"), cell=(0, 0))
+    @example(case=("config.txt", "repeated-key"), cell=(0, 0))
     def test_defective_input_file_named_once(self, instance, case, cell):
         file, defect = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -1229,6 +1235,10 @@ class TestInputFiles:
             elif defect == "no-equals":
                 with open(path, "a") as fh:
                     fh.write("solver.max_iters 1\n")
+            elif defect == "repeated-key":
+                first = path.read_text().splitlines()[0]
+                with open(path, "a") as fh:
+                    fh.write(f"{first}\n")
             elif defect == "bad-n":
                 _edit_config(inst, "problem.n", "x")
             elif defect == "dark":

@@ -12,13 +12,13 @@ from phasediversity.fields import (
     atomic_open,
     blocked_vdot,
     field_from_csv,
-    field_to_csv,
     format_floats,
     key_value_lines,
     load_field,
     parse_floats,
     read_key_values,
     save_field,
+    write_csv,
 )
 
 from conftest import random_complex
@@ -130,7 +130,7 @@ class TestSerialization:
 
     def test_csv_roundtrip_real_with_header(self, tmp_path):
         arr = np.array([[0.0, 1.5], [-2.25, 3e-17]])
-        field_to_csv(tmp_path / "g.csv", arr, header={"foo": "bar"})
+        write_csv(tmp_path / "g.csv", arr, header={"foo": "bar"})
         back = field_from_csv(tmp_path / "g.csv", (2, 2))
         assert back.dtype == float
         assert np.array_equal(back, arr)
@@ -138,7 +138,7 @@ class TestSerialization:
 
     def test_csv_bytes_and_values(self, tmp_path):
         arr = np.array([[0.1, -0.0, 1e300], [np.nan, 2.0, 5e-324]])
-        field_to_csv(tmp_path / "h.csv", arr, header={"a": 1})
+        write_csv(tmp_path / "h.csv", arr, header={"a": 1})
         text = (tmp_path / "h.csv").read_text()
         assert text == ("# a = 1\n0.10000000000000001,-0,1.0000000000000001e+300\n"
                         "nan,2,4.9406564584124654e-324\n")
@@ -154,7 +154,7 @@ class TestSerialization:
                     1.7976931348623157e308]
         arr.flat[rng.choice(arr.size, len(specials), replace=False)] = specials
         header = {"problem.n": 37, "plan.defocus": "-3,3"}
-        field_to_csv(tmp_path / "f.csv", arr, header=header)
+        write_csv(tmp_path / "f.csv", arr, header=header)
         rows = io.StringIO()
         np.savetxt(rows, np.atleast_2d(arr), fmt="%.17g", delimiter=",")
         assert (tmp_path / "f.csv").read_bytes() == \
@@ -208,6 +208,13 @@ class TestKeyValueCodec:
             read_key_values(path)
         assert str(info.value) == (f"cannot read {path}: line 2: "
                                    f"expected 'key = value', got {line!r}")
+
+    def test_repeated_key_rejected(self, path):
+        # a later line must not silently override an earlier one
+        path.write_text("a = 1\nb = 2\na = 3\n")
+        with pytest.raises(ValueError) as info:
+            read_key_values(path)
+        assert str(info.value) == f"cannot read {path}: line 3: repeated key 'a'"
 
 
 class TestReadFailures:
@@ -283,14 +290,14 @@ class TestAtomicOpen:
 
     def test_failed_csv_rewrite_keeps_old_field(self, tmp_path):
         path = tmp_path / "f.csv"
-        field_to_csv(path, np.eye(3), header={"k": "v"})
+        write_csv(path, np.eye(3), header={"k": "v"})
 
         class Bad:
             def __float__(self):
                 raise RuntimeError("unformattable cell")
 
         arr = np.array([[1.0, 2.0], [3.0, Bad()]], dtype=object)
-        self._interrupted_rewrite(path, lambda: field_to_csv(path, arr))
+        self._interrupted_rewrite(path, lambda: write_csv(path, arr))
 
     def test_failed_npy_rewrite_keeps_old_field(self, tmp_path):
         path = tmp_path / "f.npy"
