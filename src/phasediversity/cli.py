@@ -17,15 +17,15 @@ from pathlib import Path
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    build_instance,
     config_errors,
     config_from_sources,
     run_analyze_hessian,
     run_compare_methods,
     run_compare_models,
     run_solve,
-    simulate,
 )
-from .problems import load_instance
+from .problems import load_instance, save_instance
 
 ENV_OUTPUT_DIR = "PHASEDIVERSITY_OUTPUT_DIR"
 
@@ -48,18 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, hlp in (("solve", "run seeded restarts of one solver"),
                       ("compare-methods", "SD/NCG/LBFGS/TN on shared seeds"),
-                      ("compare-models", "MLP/LS/LSI on shared seeds")):
+                      ("compare-models", "MLP/LS/LSI on shared seeds"),
+                      ("analyze-hessian", "closed-form vs dense spectra at a point")):
         p = sub.add_parser(name, help=hlp)
         _add_common(p)
         p.add_argument("--instance", required=True,
                        help="instance directory written by simulate")
-
-    p = sub.add_parser("analyze-hessian",
-                       help="closed-form vs dense spectra at a point")
-    _add_common(p)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--point", default="truth",
-                   help="'truth', 'random', or a saved field (.npy)")
+    sub.choices["analyze-hessian"].add_argument(
+        "--point", default="truth",
+        help="'truth', 'random', or a saved field (.npy)")
     return parser
 
 
@@ -80,7 +77,7 @@ def main(argv=None) -> int:
         config = config_from_sources(args.config, args.overrides)
         out = _resolve_out(args, config)
         if args.command == "simulate":
-            simulate(config, out)
+            save_instance(build_instance(config), out)
             print(f"instance written to {out}")
             return 0
         with config_errors(f"cannot load instance {args.instance}: "):

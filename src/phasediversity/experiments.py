@@ -63,7 +63,6 @@ from .problems import (
     add_poisson_noise,
     build_problem,
     morozov_stop,
-    save_instance,
 )
 
 __all__ = [
@@ -132,18 +131,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         with config_errors():
-            _check_instance(self.problem_type, self.problem_params,
+            _check_instance(self.problem_type, self.problem_params, self.n,
                             self.problem_seed, self.snr, self.noise_seed)
         if self.model not in MODELS:
             raise ConfigError(f"objective.model must be one of {MODELS}, "
                               f"got {self.model!r}")
         if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
+            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         for key, value in (("morozov.tau", self.morozov_tau),
                            ("summary.success_rms", self.success_rms)):
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be a finite number > 0, "
                                   f"got {value}")
+        # a CSV header gives each key one line
+        if len((self.output_dir or "").splitlines()) > 1:
+            raise ConfigError(f"output_dir must be one line, "
+                              f"got {self.output_dir!r}")
 
     def to_flat(self) -> dict:
         """Flat key -> value in ``_KEYS`` order, problem parameters after
@@ -524,9 +527,3 @@ def run_analyze_hessian(config: ExperimentConfig, instance: ProblemInstance,
     _write_json(out / "hessian_analysis.json", payload)
     return payload
 
-
-def simulate(config: ExperimentConfig, out_dir) -> ProblemInstance:
-    """Build the configured instance and write it to ``out_dir``."""
-    instance = build_instance(config)
-    save_instance(instance, out_dir)
-    return instance

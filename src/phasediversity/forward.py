@@ -43,7 +43,7 @@ class DiversityPlan:
     def __post_init__(self):
         defocus = tuple(float(d) for d in self.defocus)
         if not np.isfinite(defocus).all():
-            raise ValueError(f"defocus must be finite, got {defocus}")
+            raise ValueError(f"plan.defocus must be finite, got {defocus}")
         if not isinstance(self.amplitude_plane, bool):
             raise TypeError(f"amplitude_plane must be a bool, "
                             f"got {self.amplitude_plane!r}")

@@ -92,22 +92,24 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"solver.method must be one of {METHODS}, "
+                             f"got {self.method!r}")
         if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ValueError("Wolfe constants must satisfy 0 < c1 < c2 < 1")
-        if self.lbfgs_memory < 1:
-            raise ValueError("lbfgs_memory must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+            raise ValueError(f"solver.c1 and solver.c2 must satisfy 0 < c1 < "
+                             f"c2 < 1, got {self.c1} and {self.c2}")
+        for name, least in (("lbfgs_memory", 1), ("max_iters", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"solver.{name} must be >= {least}, "
+                                 f"got {value}")
         for name in ("tol_fun", "tol_x", "grad_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, "
+                raise ValueError(f"solver.{name} must be a finite number >= 0, "
                                  f"got {value}")
         if self.tn_cg_max is not None and self.tn_cg_max < 1:
-            raise ValueError("tn_cg_max must be >= 1 or none")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ValueError(f"solver.tn_cg_max must be >= 1 or none, "
+                             f"got {self.tn_cg_max}")
 
 
 class TraceRecord(NamedTuple):

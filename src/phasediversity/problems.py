@@ -41,8 +41,6 @@ __all__ = [
     "PROBLEM_TYPES",
 ]
 
-PROBLEM_TYPES = ("zernike", "vonkarman", "segmented")
-
 # Pupil radii below 0.5 oversample the diffraction images, which keeps the
 # benchmark problems well conditioned at desk-scale grids.
 PROBLEM_DEFAULTS = {
@@ -53,6 +51,7 @@ PROBLEM_DEFAULTS = {
     "segmented": {"rings": 2, "gap_frac": 0.1, "outer_radius": 0.3,
                   "target_rms": 0.21, "outer_scale": 2.0, "r0": 0.1},
 }
+PROBLEM_TYPES = tuple(PROBLEM_DEFAULTS)
 _VONKARMAN = PROBLEM_DEFAULTS["vonkarman"]
 _SEGMENTED = PROBLEM_DEFAULTS["segmented"]
 # the config's defaults too: the benchmark plan (the pupil, then defocus -3
@@ -88,11 +87,12 @@ def _check_params(params: dict) -> None:
             raise ValueError(f"problem.{name} must {wants}, got {params[name]}")
 
 
-def _check_instance(ptype: str, params: dict, seed: int, snr=None,
+def _check_instance(ptype: str, params: dict, n: int, seed: int, snr=None,
                     noise_seed=None) -> dict:
     """The defaults of a ``ptype`` instance updated by ``params``, checked
-    with its seeds and SNR; a ValueError names the first key at fault.  The
-    config, :func:`build_problem` and :func:`load_instance` check here."""
+    with its grid size, seeds and SNR; a ValueError names the first key at
+    fault.  The config, :func:`build_problem` and :func:`load_instance`
+    check here."""
     if ptype not in PROBLEM_DEFAULTS:
         raise ValueError(f"problem.type must be one of {PROBLEM_TYPES}, "
                          f"got {ptype!r}")
@@ -102,9 +102,10 @@ def _check_instance(ptype: str, params: dict, seed: int, snr=None,
                          f"{', '.join(sorted(unknown))}")
     opts = {**PROBLEM_DEFAULTS[ptype], **params}
     _check_params(opts)
-    for key, value in (("problem.seed", seed), ("noise.seed", noise_seed)):
-        if value is not None and value < 0:
-            raise ValueError(f"{key} must be >= 0, got {value}")
+    for key, value, least in (("problem.n", n, 2), ("problem.seed", seed, 0),
+                              ("noise.seed", noise_seed, 0)):
+        if value is not None and value < least:
+            raise ValueError(f"{key} must be >= {least}, got {value}")
     if snr is not None and not (np.isfinite(snr) and snr > 0):
         raise ValueError(f"noise.snr must be a finite number > 0, got {snr}")
     return opts
@@ -389,7 +390,7 @@ def build_problem(ptype: str, n: int, seed: int = 0, defocus=DEFAULT_PLAN.defocu
     (hexagonal segments, turbulence screen).  Unknown keyword parameters
     are rejected so config typos fail loudly.
     """
-    opts = _check_instance(ptype, params, seed)
+    opts = _check_instance(ptype, params, n, seed)
 
     if ptype == "segmented":
         grid = segmented_pupil(n, opts["rings"], opts["gap_frac"],
@@ -441,17 +442,19 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    """Read a :func:`save_instance` directory.  A ValueError names the file
-    at fault: a ``config.txt`` that lacks a key :func:`save_instance` writes
-    for the instance's type, holds any other key, or has a bad value (parsed
-    and checked as the config is), a truth or plane file not a finite n x n
-    grid (a plane also >= 0), a truth without a pupil pixel (|value| > 0.5),
-    or a ``plane_*.csv`` the plan does not name."""
+    """Read a :func:`save_instance` directory, whose ``config.txt`` holds
+    exactly the keys read here for its type.  A ValueError names the file at
+    fault: a ``config.txt`` lacking one of them, holding any other key or a
+    bad value (parsed and checked as the config is), a truth or plane file
+    not a finite n x n grid (a plane also >= 0), a truth without a pupil
+    pixel (|value| > 0.5), or a ``plane_*.csv`` the plan does not name."""
     path = Path(path)
     config = path / "config.txt"
     meta = read_key_values(config)
+    read = set()  # the keys value() is asked for, the only keys allowed
 
     def value(key, parse=str):
+        read.add(key)
         if key not in meta:
             raise ValueError(f"{config} has no {key} line")
         try:
@@ -468,19 +471,15 @@ def load_instance(path) -> ProblemInstance:
     noise = ((value("noise.snr", float), value("noise.seed", int))
              if "noise.snr" in meta or "noise.seed" in meta else ())
     try:
-        _check_instance(ptype, params, seed, *noise)
+        _check_instance(ptype, params, n, seed, *noise)
     except ValueError as exc:
         raise ValueError(f"{config}: {exc}") from exc
-    # the keys save_instance writes for this type, the noise keys as a pair
-    known = {"problem.type", "problem.n", "problem.seed", "plan.defocus",
-             "plan.amplitude_plane", "noise.snr", "noise.seed",
-             *(f"problem.{name}" for name in params)}
-    unknown = [key for key in meta if key not in known]
-    if unknown:
-        raise ValueError(f"{config}: unknown key {unknown[0]!r}")
     amplitude_plane = value("plan.amplitude_plane", parse_bool)
     plan = value("plan.defocus",
                  lambda text: DiversityPlan(parse_floats(text), amplitude_plane))
+    unknown = [key for key in meta if key not in read]
+    if unknown:
+        raise ValueError(f"{config}: unknown key {unknown[0]!r}")
     truth = load_field(path / "truth.npy", (n, n))
     grid = PupilGrid(n, np.abs(truth) > 0.5)
     if not grid.mask.any():

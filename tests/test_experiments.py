@@ -27,12 +27,11 @@ from phasediversity.experiments import (
     run_compare_models,
     run_single,
     run_solve,
-    simulate,
 )
 from phasediversity.fields import field_from_csv, save_field
 from phasediversity.objectives import DataMisfit, ObjectiveSpec
 from phasediversity.optimizers import LINE_SEARCH_METHODS, RunTrace
-from phasediversity.problems import load_instance
+from phasediversity.problems import load_instance, save_instance
 
 from conftest import read_trace
 
@@ -183,7 +182,7 @@ class TestSimulate:
         paths = []
         for name in ("a", "b"):
             out = tmp_path / name
-            simulate(cfg, out)
+            save_instance(build_instance(cfg), out)
             paths.append(out)
         for fname in sorted(os.listdir(paths[0])):
             b1 = (paths[0] / fname).read_bytes()
@@ -192,7 +191,7 @@ class TestSimulate:
 
     def test_roundtrip_objective_at_truth(self, tmp_path):
         cfg = small_config()
-        inst = simulate(cfg, tmp_path / "inst")
+        save_instance(build_instance(cfg), tmp_path / "inst")
         back = load_instance(tmp_path / "inst")
         spec = ObjectiveSpec("LSI", 1e-14, back.plan, back.data, back.grid)
         assert DataMisfit(spec).value(back.truth) < 1e-8
@@ -876,6 +875,27 @@ class TestCli:
                                 ["problem.type=vonkarman", "problem.n=2"],
                                 "zero variance")
 
+    @pytest.mark.parametrize("settings, named", [
+        (["solver.seed=-1"], "solver.seed must be >= 0, got -1"),
+        (["solver.c1=0.95"], "solver.c1"),
+        (["solver.method=XX"], "solver.method"),
+        (["solver.lbfgs_memory=0"], "solver.lbfgs_memory must be >= 1, got 0"),
+        (["problem.n=1"], "problem.n must be >= 2, got 1"),
+        (["output_dir=runs\nx"], "output_dir"),
+    ], ids=["solver-seed", "solver-c1", "solver-method", "lbfgs-memory",
+            "problem-n", "two-line-output-dir"])
+    def test_bad_value_named_with_its_key(self, tmp_path, capsys, settings,
+                                          named):
+        self.config_error_names(tmp_path, capsys, "solve", settings, named)
+
+    def test_zero_restarts_named_with_its_value(self, tmp_path, capsys):
+        # config_error_names sets restarts=1 after its settings
+        out = tmp_path / "inst"
+        assert main(["simulate", "--set", "problem.n=8", "--set", "restarts=0",
+                     "--out", str(out)]) == 2
+        assert "restarts must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_intensity_csvs_parse_with_headers(self, tmp_path):
         inst_dir = tmp_path / "inst"
         assert main(["simulate", "--set", "problem.n=12",
@@ -1124,12 +1144,16 @@ class TestInputFiles:
         ([], ("solver.method", "TN"), "solver.method"),
         ([], ("restarts", "7"), "restarts"),
         ([], ("output_dir", "x"), "output_dir"),
+        ([], ("problem.n", "-1"), "problem.n"),
+        ([], ("problem.n", "1"), "problem.n"),
+        ([], ("problem.zernike_index", "13"), "problem.zernike_index"),
     ], ids=["no-seed", "no-r0", "no-type", "bad-type", "bad-n", "bad-defocus",
             "nan-defocus", "no-noise-seed", "bad-noise-seed",
             "negative-noise-seed", "negative-snr", "negative-seed",
             "plane-nan", "plane-negative", "extra-problem-key",
             "extra-plan-key", "seed-without-snr", "extra-solver-key",
-            "extra-restarts-key", "extra-output-dir-key"])
+            "extra-restarts-key", "extra-output-dir-key", "negative-n",
+            "one-pixel-n", "other-type-key"])
     def test_instance_must_state_its_keys(self, tmp_path, capsys, sets, edit,
                                           named):
         # a vonkarman instance simulated with a non-default seed: a missing
